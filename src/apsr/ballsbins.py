@@ -200,31 +200,32 @@ def simulate_balls_and_bins(
     done = 0
     while done < trials:
         m = min(chunk, trials - done)
-        draws = rng.integers(0, n, size=(m, s, d))
-        # unavailable draws get sentinel n so they sort to the tail
-        vals = np.where(draws < k, draws, n)
+        vals = rng.integers(0, n, size=(m, s, d))
+        vals[vals >= k] = n  # unavailable draws get sentinel n so they sort to the tail
         vals.sort(axis=2)
-        first = np.empty((m, s, d), dtype=bool)
-        first[:, :, 0] = vals[:, :, 0] < n
-        if d > 1:
-            first[:, :, 1:] = (vals[:, :, 1:] != vals[:, :, :-1]) & (vals[:, :, 1:] < n)
+        first = vals < n
+        first[:, :, 1:] &= vals[:, :, 1:] != vals[:, :, :-1]
         distinct = first.sum(axis=2)
         ph = distinct > 0
         pick = (rng.random((m, s)) * distinct).astype(np.int64)
-        cumulative = np.cumsum(first, axis=2)
-        target = first & (cumulative == (pick + 1)[:, :, None])
-        positions = target.argmax(axis=2)
+        cumulative = np.cumsum(first, axis=2, dtype=np.int32)
+        del first
+        # the running count of distinct bins first reaches pick + 1 at the picked bin
+        positions = (cumulative == (pick + 1)[:, :, None]).argmax(axis=2)
+        del cumulative
         selected = np.take_along_axis(vals, positions[:, :, None], axis=2)[:, :, 0]
-        selected = np.where(ph, selected, k)  # sentinel column for failed agents
-        offsets = selected + np.arange(m)[:, None] * (k + 1)
-        per_trial = np.bincount(offsets.ravel(), minlength=m * (k + 1))
-        per_trial = per_trial.reshape(m, k + 1)[:, :k]
-        happy = (per_trial > 0).sum(axis=1)
+        del vals
+        selected[~ph] = k  # sentinel for agents that saw no available bin
+        # a trial's winners are the distinct available bins its agents selected
+        selected.sort(axis=1)
+        won = selected < k
+        won[:, 1:] &= selected[:, 1:] != selected[:, :-1]
+        happy = won.sum(axis=1)
 
         ph_total += int(ph.sum())
         happy_total += int(happy.sum())
-        happy_sq_total += int((happy.astype(np.int64) ** 2).sum())
-        selection_counts += per_trial.sum(axis=0)
+        happy_sq_total += int((happy * happy).sum())
+        selection_counts += np.bincount(selected.ravel(), minlength=k + 1)[:k]
         done += m
 
     return SimulationResult(trials, ph_total, happy_total, happy_sq_total, selection_counts)

@@ -3,9 +3,10 @@ snapshot, contended resolution at hosts, metric accumulation, controller ticks.
 
 Each slot proceeds in a fixed order: departures, arrivals, controller tick (on
 period boundaries), scheduler decisions, randomized resolution, metrics.  Every
-scheduler observes the same start-of-slot snapshot and owns an RNG stream
-derived from (run seed, slot, scheduler index), so decisions are independent of
-the order schedulers are evaluated in.  Chosen assignments are then resolved
+scheduler reads one shared view of the start-of-slot snapshot, and a scheduler
+whose policy draws randomness owns an RNG stream derived from (run seed, slot,
+scheduler index), so decisions are independent of the order schedulers are
+evaluated in.  Chosen assignments are then resolved
 against the live state in a uniformly random order; an assignment fails if its
 host can no longer take the request at its turn.  Declined requests are not
 re-queued: each request gets a single placement attempt.
@@ -13,16 +14,15 @@ re-queued: each request gets a single placement attempt.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable
 
 import numpy as np
 
 from .ballsbins import SlaBudget
 from .controller import ESTIMATOR_MODES, ApsrController, FlavorCounters
-from .core import EPS, INFINITE, ClusterState, ConfigError, Request
-from .policies import POLICY_KINDS, HostView, PolicyConfig, choose
+from .core import ClusterState, ConfigError, Request
+from .policies import DETERMINISTIC_KINDS, HostView, PolicyConfig, choose
 from .workload import (
     DEFAULT_FLEETS,
     ArrivalProcess,
@@ -63,36 +63,41 @@ class ExperimentConfig:
     max_slots: int = 1_000_000
 
     def __post_init__(self):
-        if self.policy not in POLICY_KINDS:
-            raise ConfigError(f"unknown policy {self.policy!r}; valid: {POLICY_KINDS}")
+        PolicyConfig(self.policy, self.lambda_rank, self.adaptive_threshold)  # checks all three
         if self.controller == (self.schedulers is not None):
             raise ConfigError("set exactly one of: fixed schedulers, controller")
         if self.controller != (self.policy == "apsr"):
             raise ConfigError(
                 "the controller manages 'apsr' schedulers; fixed fleets run snapshot policies"
             )
-        if self.schedulers is not None and self.schedulers < 1:
-            raise ConfigError(f"schedulers must be >= 1, got {self.schedulers}")
         if self.estimator not in ESTIMATOR_MODES:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.lifetime not in ("infinite", "finite"):
             raise ConfigError(f"lifetime must be 'infinite' or 'finite', got {self.lifetime!r}")
         if (self.lifetime == "finite") != (self.lambda_d is not None):
             raise ConfigError("finite lifetime requires lambda_d; infinite forbids it")
-        if self.lambda_d is not None and not self.lambda_d > 0:
-            raise ConfigError(f"lambda_d must be positive, got {self.lambda_d}")
         if self.arrival not in ("poisson", "mmpp"):
             raise ConfigError(f"unknown arrival process {self.arrival!r}")
-        if self.replicas < 1:
-            raise ConfigError(f"replicas must be >= 1, got {self.replicas}")
-        if self.hosts is not None and self.hosts < 1:
-            raise ConfigError(f"hosts must be >= 1, got {self.hosts}")
-        if self.max_slots < 1:
-            raise ConfigError(f"max_slots must be >= 1, got {self.max_slots}")
         if isinstance(self.budget, str):
             _parse_percent(self.budget)
         elif self.budget is not None and self.budget < 1:
             raise ConfigError(f"budget must be >= 1, got {self.budget}")
+        for name, ok, bound in (
+            ("schedulers", self.schedulers is None or self.schedulers >= 1, ">= 1"),
+            ("replicas", self.replicas >= 1, ">= 1"),
+            ("hosts", self.hosts is None or self.hosts >= 1, ">= 1"),
+            ("max_slots", self.max_slots >= 1, ">= 1"),
+            ("lambda_d", self.lambda_d is None or self.lambda_d > 0, "> 0"),
+            ("delta_hat", 0.0 <= self.delta_hat <= 1.0, "in [0, 1]"),
+            ("alpha", 0.0 < self.alpha <= 1.0, "in (0, 1]"),
+            ("period", self.period >= 1, ">= 1"),
+            ("lambda_a", self.lambda_a > 0, "> 0"),
+            ("mmpp_rate_low", self.mmpp_rate_low > 0, "> 0"),
+            ("mmpp_switch", 0.0 <= self.mmpp_switch <= 1.0, "in [0, 1]"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must be {bound}, got {getattr(self, name)!r}")
+        self.arrival_process()  # the process checks the mmpp switch point itself
 
     def arrival_process(self) -> ArrivalProcess:
         if self.arrival == "poisson":
@@ -171,10 +176,6 @@ class SlotMetrics:
     schedulers_allowed: int
     k_estimate: float  # nan for fixed-fleet runs
     utilization: float
-
-    @property
-    def active(self) -> int:
-        return self.attempts
 
 
 @dataclass
@@ -297,7 +298,6 @@ class Simulation:
         self._rng_departures = np.random.default_rng((config.seed, _DEPARTURES))
         self._placed_ids: list[int] = []
         self._placed_pos: dict[int, int] = {}
-        self._departure_heap: list[tuple[float, int]] = []
 
     # -- state bookkeeping -------------------------------------------------
 
@@ -306,10 +306,6 @@ class Simulation:
             return False
         self._placed_pos[request.id] = len(self._placed_ids)
         self._placed_ids.append(request.id)
-        if request.lifetime != INFINITE:
-            heapq.heappush(
-                self._departure_heap, (request.arrival_slot + request.lifetime, request.id)
-            )
         return True
 
     def _complete(self, request_id: int) -> None:
@@ -320,11 +316,7 @@ class Simulation:
             self._placed_ids[pos] = last
             self._placed_pos[last] = pos
 
-    def _process_departures(self, slot: int) -> None:
-        while self._departure_heap and self._departure_heap[0][0] <= slot:
-            _, request_id = heapq.heappop(self._departure_heap)
-            if request_id in self.state.placements:
-                self._complete(request_id)
+    def _process_departures(self) -> None:
         if self.config.lambda_d is not None and self._placed_ids:
             leaving = int(self._rng_departures.poisson(self.config.lambda_d))
             leaving = min(leaving, len(self._placed_ids))
@@ -337,41 +329,33 @@ class Simulation:
 
     # -- per-slot work -----------------------------------------------------
 
-    def _decide(
-        self, snapshot: np.ndarray, request: Request, slot: int, index: int
-    ) -> tuple[int | None, int]:
-        """One scheduler's decision from the slot-start snapshot.
+    def decide(
+        self, view: HostView, slot: int, schedulers: Iterable[tuple[int, Request]]
+    ) -> list[int | None]:
+        """Target host (or None to decline) of each (scheduler index, request) pair.
 
-        Returns (target host or None, queries charged).  Depends only on the
-        snapshot and the (seed, slot, index) stream, never on other schedulers.
+        A decision reads only the slot's shared snapshot ``view`` and scheduler
+        i's own (seed, slot, i) stream, so the order of the pairs changes no target.
         """
-        rng = np.random.default_rng((self.config.seed, _SCHEDULER, slot, index))
-        if self.policy.kind == "apsr":
-            d = self.controller.d
-            sample = rng.integers(0, self.state.n, size=d)
-            view = HostView(
-                ids=sample,
-                available=snapshot[sample],
-                capacity=self.state.capacity[sample],
-                completeness="sample",
-            )
-            demand = np.asarray(request.flavor.demand)
-            found = int(((view.available >= demand - EPS).all(axis=1)).sum())
-            self.counters.record(request.flavor.id, d, found)
-            return choose(self.policy, view, request, rng), d
-        view = HostView(
-            ids=self._host_ids,
-            available=snapshot,
-            capacity=self.state.capacity,
-            completeness="full",
-        )
-        return choose(self.policy, view, request, rng), self.state.n
+        kind = self.policy.kind
+        targets: list[int | None] = []
+        for i, request in schedulers:
+            rng = sample = None
+            if kind not in DETERMINISTIC_KINDS:
+                rng = np.random.default_rng((self.config.seed, _SCHEDULER, slot, i))
+            if kind == "apsr":
+                d = self.controller.d
+                sample = rng.integers(0, self.state.n, size=d)
+                found = int(np.count_nonzero(view.fit_mask(request.flavor.demand)[sample]))
+                self.counters.record(request.flavor.id, d, found)
+            targets.append(choose(self.policy, view, request, rng, sample=sample))
+        return targets
 
     def run_slot(self) -> SlotMetrics:
         state, config = self.state, self.config
         slot = state.slot
 
-        self._process_departures(slot)
+        self._process_departures()
 
         if self.schedule is not None and slot < len(self.schedule.counts):
             for _ in range(self.schedule.counts[slot]):
@@ -389,19 +373,15 @@ class Simulation:
 
         allowed = self.controller.s if self.controller else config.schedulers
         active = min(allowed, len(state.pending))
-        snapshot = state.available.copy()
-        decisions: list[tuple[Request, int | None]] = []
-        queries = 0
-        for i in range(active):
-            request = state.pending.popleft()
-            target, charged = self._decide(snapshot, request, slot, i)
-            queries += charged
-            decisions.append((request, target))
+        requests = [state.pending.popleft() for _ in range(active)]
+        view = HostView(self._host_ids, state.available.copy(), state.capacity)
+        targets = self.decide(view, slot, enumerate(requests))
+        queried = self.controller.d if self.policy.kind == "apsr" else state.n
 
-        order = np.random.default_rng((config.seed, _RESOLVE, slot)).permutation(len(decisions))
+        order = np.random.default_rng((config.seed, _RESOLVE, slot)).permutation(active)
         successes = no_host = collisions = 0
         for j in order:
-            request, target = decisions[j]
+            request, target = requests[j], targets[j]
             if target is None:
                 no_host += 1
             elif self._place(request, target):
@@ -415,7 +395,7 @@ class Simulation:
             successes=successes,
             decline_no_host=no_host,
             decline_collision=collisions,
-            queries=queries,
+            queries=queried * active,
             schedulers_allowed=allowed,
             k_estimate=self.controller.k_estimate if self.controller else float("nan"),
             utilization=state.utilization(),
@@ -440,13 +420,8 @@ def run_experiment(config: ExperimentConfig) -> RunMetrics:
 
 def sweep(config: ExperimentConfig, seeds: Iterable[int]) -> dict[int, RunMetrics]:
     """Run the same configuration across seeds (independent runs)."""
-    results: dict[int, RunMetrics] = {}
-    for seed in seeds:
-        results[seed] = run_experiment(_with_seed(config, seed))
-    return results
+    return {seed: run_experiment(_with_seed(config, seed)) for seed in seeds}
 
 
 def _with_seed(config: ExperimentConfig, seed: int) -> ExperimentConfig:
-    values = {f.name: getattr(config, f.name) for f in fields(ExperimentConfig)}
-    values["seed"] = seed
-    return ExperimentConfig(**values)
+    return replace(config, seed=seed)

@@ -8,7 +8,8 @@ Policies are stateless; all randomness flows through the generator passed to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .core import EPS, ConfigError, Host, Request
 FULL_SNAPSHOT_KINDS = ("ff", "wf", "random", "ffr", "wfr", "adaptive", "distfromdiag")
 POLICY_KINDS = FULL_SNAPSHOT_KINDS + ("apsr",)
 
-RANDOMIZED_KINDS = ("random", "ffr", "wfr", "apsr")
+#: Kinds whose choice never draws randomness; ``choose`` accepts rng=None for them.
 DETERMINISTIC_KINDS = ("ff", "wf", "adaptive", "distfromdiag")
 
 
@@ -42,19 +43,39 @@ class PolicyConfig:
 class HostView:
     """What a scheduler sees: host ids with their availability and capacity rows.
 
-    Full views list every host once, ordered by id.  Sample views are drawn
-    with replacement and may repeat ids; ``choose`` collapses them to the
-    distinct set before picking.
+    Full views list every host once.  Sample views are drawn with replacement
+    and may repeat ids; ``choose`` collapses them to the distinct set before
+    picking.  A view is treated as read-only: host loads and the fit mask of each
+    demand vector are computed on first use and cached, so all decisions of a slot
+    share one view of the slot-start snapshot.
     """
 
     ids: np.ndarray
     available: np.ndarray
     capacity: np.ndarray
     completeness: str = "full"  # "full" | "sample"
+    _loads: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.completeness not in ("full", "sample"):
             raise ConfigError(f"unknown view completeness {self.completeness!r}")
+
+    def loads(self) -> np.ndarray:
+        """Per-row load: the worst per-resource used fraction."""
+        if self._loads is None:
+            if np.any(self.capacity <= 0):
+                raise ConfigError("zero-capacity coordinate in host view")
+            columns = zip(self.capacity.T, self.available.T)
+            self._loads = reduce(np.maximum, [(c - a) / c for c, a in columns])
+        return self._loads
+
+    def fit_mask(self, demand: tuple[float, ...]) -> np.ndarray:
+        """Rows whose availability takes ``demand`` in every coordinate (EPS slack)."""
+        if demand not in self._masks:
+            columns = zip(self.available.T, demand, strict=True)
+            self._masks[demand] = reduce(np.logical_and, [a >= w - EPS for a, w in columns])
+        return self._masks[demand]
 
 
 def host_load(host: Host) -> float:
@@ -64,30 +85,34 @@ def host_load(host: Host) -> float:
     return max((c - a) / c for c, a in zip(host.capacity, host.available))
 
 
-def _view_loads(view: HostView) -> np.ndarray:
-    if np.any(view.capacity <= 0):
-        raise ConfigError("zero-capacity coordinate in host view")
-    return ((view.capacity - view.available) / view.capacity).max(axis=1)
+def _least(keys: np.ndarray, ids: np.ndarray) -> int:
+    """The id a (key, id) sort ranks first: the least id among the least keys."""
+    return int(ids[keys == keys.min()].min())
 
 
 def choose(
     policy: PolicyConfig,
     view: HostView,
     request: Request,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
+    sample: np.ndarray | None = None,
 ) -> int | None:
     """Pick a host for the request from the view, or None to decline.
 
     Declines happen exactly when no host in the view can take the request's
     demand.  A returned host is always available for the request in the view.
+    ``rng`` may be None for the ``DETERMINISTIC_KINDS``.  ``sample`` (sampling
+    agent only) holds the rows of a full view it queried, repeats allowed.
     """
-    demand = np.asarray(request.flavor.demand, dtype=float)
-    mask = (view.available >= demand - EPS).all(axis=1)
+    demand = request.flavor.demand
+    mask = view.fit_mask(demand)
 
     if policy.kind == "apsr":
-        candidates = np.unique(view.ids[mask])
-        if candidates.size == 0:
+        ids = view.ids[mask] if sample is None else view.ids[sample[mask[sample]]]
+        if ids.size == 0:
             return None
+        ids.sort()
+        candidates = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]  # first occurrences
         return int(candidates[rng.integers(candidates.size)])
 
     if view.completeness != "full":
@@ -106,23 +131,22 @@ def choose(
         candidates = np.sort(ids)[: policy.lambda_rank]
         return int(candidates[rng.integers(candidates.size)])
 
-    loads = _view_loads(view)[mask]
+    loads = view.loads()  # rejects zero-capacity coordinates for every kind below
+    if policy.kind == "adaptive":
+        regime = "wf" if float(loads.mean()) < policy.adaptive_threshold else "ff"
+        return choose(PolicyConfig(regime), view, request, rng)
     if policy.kind == "wf":
-        return int(ids[np.lexsort((ids, loads))[0]])
+        return _least(loads[mask], ids)
     if policy.kind == "wfr":
         # rank by (load, id), then pick uniformly among the top lambda_rank
-        candidates = ids[np.lexsort((ids, loads))][: policy.lambda_rank]
+        candidates = ids[np.lexsort((ids, loads[mask]))][: policy.lambda_rank]
         return int(candidates[rng.integers(candidates.size)])
-    if policy.kind == "adaptive":
-        regime = "wf" if float(_view_loads(view).mean()) < policy.adaptive_threshold else "ff"
-        return choose(PolicyConfig(regime), view, request, rng)
     if policy.kind == "distfromdiag":
         # usage fractions after a hypothetical placement; prefer the host whose
         # usage stays closest to equal consumption across resources
         capacity = view.capacity[mask]
-        usage = (capacity - (view.available[mask] - demand)) / capacity
+        usage = (capacity - (view.available[mask] - np.asarray(demand))) / capacity
         centered = usage - usage.mean(axis=1, keepdims=True)
-        scores = np.sqrt((centered * centered).sum(axis=1))
-        return int(ids[np.lexsort((ids, scores))[0]])
+        return _least(np.sqrt((centered * centered).sum(axis=1)), ids)
 
     raise ConfigError(f"unknown policy kind {policy.kind!r}")

@@ -12,6 +12,8 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
+import numpy as np
+
 from apsr.core import fits
 
 _CHOICE_CACHE: dict[tuple, Fraction] = {}
@@ -87,6 +89,66 @@ def scan_max_paral(n: int, delta_hat: float, budget: int, k: int) -> tuple[int, 
         else:
             break
     return s, budget // s
+
+
+def replay_balls_and_bins(n: int, k: int, s: int, d: int, trials: int, seed, chunk: int):
+    """Plays the sampling game trial by trial in plain Python, on the draws the
+    Monte-Carlo kernel makes: per chunk of m trials, an (m, s, d) block of bin
+    draws and then an (m, s) block of uniforms, one per agent's pick.
+
+    Returns (potentially happy total, happy total, happy squared total,
+    per-bin selection counts).
+    """
+    rng = np.random.default_rng(seed)
+    ph_total = happy_total = happy_sq_total = 0
+    counts = [0] * k
+    done = 0
+    while done < trials:
+        m = min(chunk, trials - done)
+        draws = rng.integers(0, n, size=(m, s, d)).tolist()
+        uniforms = rng.random((m, s)).tolist()
+        for samples, picks in zip(draws, uniforms):
+            won = set()
+            for sample, u in zip(samples, picks):
+                seen = sorted({b for b in sample if b < k})
+                if seen:
+                    ph_total += 1
+                    chosen = seen[int(u * len(seen))]
+                    counts[chosen] += 1
+                    won.add(chosen)
+            happy_total += len(won)
+            happy_sq_total += len(won) ** 2
+        done += m
+    return ph_total, happy_total, happy_sq_total, counts
+
+
+def reference_choice(kind, ids, available, capacity, demand, adaptive_threshold=0.6):
+    """The host a deterministic snapshot policy picks, by a plain loop.
+
+    Returns the least (key, id) among hosts that pass ``core.fits``, or None
+    when none does.  Keys: ff 0; wf the host load (the worst per-resource
+    used fraction); adaptive the wf key while the mean load over all hosts is
+    below the threshold, else the ff key; distfromdiag the distance of the
+    post-placement usage fractions from their mean.
+    """
+    loads = [max((c - a) / c for c, a in zip(cap, avail)) for cap, avail in zip(capacity, available)]
+    if kind == "adaptive":
+        kind = "wf" if sum(loads) / len(loads) < adaptive_threshold else "ff"
+    best = None
+    for host, cap, avail, load in zip(ids, capacity, available, loads):
+        if not fits(demand, avail):
+            continue
+        if kind == "ff":
+            key = 0.0
+        elif kind == "wf":
+            key = load
+        else:
+            usage = [(c - (a - w)) / c for c, a, w in zip(cap, avail, demand)]
+            mean = sum(usage) / len(usage)
+            key = math.sqrt(sum((u - mean) * (u - mean) for u in usage))
+        if best is None or (key, host) < best:
+            best = (key, host)
+    return None if best is None else best[1]
 
 
 def census_brute(state, flavors) -> dict[str, int]:

@@ -17,7 +17,12 @@ from apsr import (
     sigma,
     simulate_balls_and_bins,
 )
-from oracles import direct_expected_happy, enumerated_expected_happy, scan_max_paral
+from oracles import (
+    direct_expected_happy,
+    enumerated_expected_happy,
+    replay_balls_and_bins,
+    scan_max_paral,
+)
 
 
 class TestSigma:
@@ -164,6 +169,15 @@ class TestSimulation:
     def test_selection_counts_total_potentially_happy(self):
         result = simulate_balls_and_bins(BallsBinsParams(8, 3, 4, 2), trials=20_000, seed=9)
         assert result.selection_counts.sum() == result.potentially_happy_total
+
+    @pytest.mark.parametrize("n, k, s, d", [(12, 5, 4, 3), (6, 6, 3, 2), (20, 1, 5, 4), (9, 4, 1, 1)])
+    def test_totals_match_plain_replay_of_the_draws(self, n, k, s, d):
+        # 2,500 trials in chunks of 700 also covers a short last chunk
+        result = simulate_balls_and_bins(BallsBinsParams(n, k, s, d), 2_500, (n, k), chunk=700)
+        ph, happy, happy_sq, counts = replay_balls_and_bins(n, k, s, d, 2_500, (n, k), 700)
+        assert (result.potentially_happy_total, result.happy_total, result.happy_sq_total) == (
+            ph, happy, happy_sq)
+        assert result.selection_counts.tolist() == counts
 
 
 class TestParamTypes:

@@ -106,6 +106,14 @@ class TestSimulate:
     def test_nonexistent_config_is_config_error(self, tmp_path):
         assert run_cli("simulate", tmp_path / "missing.cfg", "--out", tmp_path / "x") == 2
 
+    def test_out_of_range_value_rejected_before_any_output(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("preset = nfv\ndelta_hat = 2\n")
+        out = tmp_path / "out"
+        assert run_cli("simulate", path, "--out", out) == 2
+        assert not out.exists()
+        assert "running seed" not in capsys.readouterr().err
+
     def test_malformed_config_line_is_config_error(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("dataset nfv\n")

@@ -5,7 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from apsr import ConfigError, ExperimentConfig, Simulation, make_config, run_experiment
+from apsr import (
+    ConfigError,
+    ExperimentConfig,
+    HostView,
+    Simulation,
+    make_config,
+    run_experiment,
+)
 
 
 @pytest.fixture
@@ -52,6 +59,19 @@ class TestConfigValidation:
             make_config(dataset="nfv", budget="150%")
         with pytest.raises(ConfigError):
             make_config(dataset="nfv", budget="fifty")
+
+    @pytest.mark.parametrize("key, value", [
+        ("delta_hat", 2.0), ("delta_hat", -0.1), ("alpha", 0.0), ("alpha", 1.5),
+        ("period", 0), ("lambda_a", 0.0), ("mmpp_rate_low", -1.0), ("mmpp_switch", 1.2),
+        ("lambda_rank", 0), ("adaptive_threshold", 1.5), ("delta_hat", float("nan")),
+    ])
+    def test_out_of_range_numbers_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            make_config("nfv", **{key: value})
+
+    def test_mmpp_switch_point_checked_at_construction(self):
+        with pytest.raises(ConfigError):
+            make_config("nfv-mmpp", mmpp_switch=0.0)
 
     def test_unknown_preset_and_keys(self):
         with pytest.raises(ConfigError):
@@ -148,6 +168,22 @@ class TestDeterminism:
 
 
 class TestSnapshotCausality:
+    @staticmethod
+    def forward_and_backward(sim, count):
+        """The slot's decisions evaluated in scheduler order and in reverse,
+        each against its own fresh view of the same slot-start snapshot."""
+        pairs = list(enumerate(list(sim.state.pending)[:count]))
+        assert len(pairs) >= 2
+
+        def decide(order):
+            view = HostView(np.arange(sim.state.n), sim.state.available.copy(), sim.state.capacity)
+            return sim.decide(view, sim.state.slot, order)
+
+        forward = decide(pairs)
+        if sim.counters is not None:
+            sim.counters.reset()
+        return forward, decide(pairs[::-1])[::-1]
+
     def test_decisions_invariant_to_evaluation_order(self):
         """Scheduler i's decision depends only on the slot-start snapshot and
         its own (seed, slot, i) stream, so evaluating in any order agrees."""
@@ -155,28 +191,14 @@ class TestSnapshotCausality:
         # advance a few slots to reach an interesting state
         for _ in range(6):
             sim.run_slot()
-        requests = [sim.state.pending[i] for i in range(min(8, len(sim.state.pending)))]
-        assert len(requests) >= 2
-        snapshot = sim.state.available.copy()
-        slot = sim.state.slot
-        forward = [sim._decide(snapshot, r, slot, i) for i, r in enumerate(requests)]
-        indices = list(range(len(requests)))[::-1]
-        backward = [sim._decide(snapshot, requests[i], slot, i) for i in indices][::-1]
+        forward, backward = self.forward_and_backward(sim, 8)
         assert forward == backward
 
     def test_apsr_decisions_order_invariant_too(self):
         sim = Simulation(small_nfv(seed=21))
         for _ in range(4):
             sim.run_slot()
-        count = min(sim.controller.s, len(sim.state.pending))
-        requests = [sim.state.pending[i] for i in range(count)]
-        assert len(requests) >= 2
-        snapshot = sim.state.available.copy()
-        slot = sim.state.slot
-        forward = [sim._decide(snapshot, r, slot, i) for i, r in enumerate(requests)]
-        sim.counters.reset()
-        indices = list(range(len(requests)))[::-1]
-        backward = [sim._decide(snapshot, requests[i], slot, i) for i in indices][::-1]
+        forward, backward = self.forward_and_backward(sim, sim.controller.s)
         assert forward == backward
 
 

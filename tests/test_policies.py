@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from apsr import ConfigError, Flavor, Host, HostView, PolicyConfig, Request, choose, host_load
 from apsr.ballsbins import sigma
+from apsr.policies import DETERMINISTIC_KINDS
+from oracles import reference_choice
 
 
 def make_view(available, capacity=None, completeness="full", ids=None):
@@ -68,6 +72,12 @@ class TestDeterministicPolicies:
         view = make_view([[0.4, 1.0], [0.6, 0.8]], capacity=[[1.0, 1.0], [1.0, 1.0]])
         assert choose(PolicyConfig("distfromdiag"), view, req(0.2, 0.4), rng()) == 1
 
+    def test_load_aware_kinds_reject_zero_capacity(self):
+        view = make_view([[1.0, 0.0], [1.0, 1.0]], capacity=[[1.0, 0.0], [1.0, 1.0]])
+        for kind in ("wf", "wfr", "adaptive", "distfromdiag"):
+            with pytest.raises(ConfigError):
+                choose(PolicyConfig(kind), view, req(0.5, 0.0), rng())
+
     def test_deterministic_kinds_repeat_identically(self):
         view = make_view([[0.3, 0.6], [0.8, 0.2], [0.5, 0.5], [0.0, 0.0]])
         request = req(0.2, 0.2)
@@ -75,6 +85,42 @@ class TestDeterministicPolicies:
             first = choose(PolicyConfig(kind), view, request, rng())
             again = choose(PolicyConfig(kind), view, request, np.random.default_rng(999))
             assert first == again
+
+
+# Coordinates on a grid of eighths with power-of-two capacities make every
+# sum exact, so numpy and the plain loop agree bit for bit whatever order
+# they add in.
+EIGHTHS = st.integers(0, 16).map(lambda v: v / 8)
+CAPACITY = st.sampled_from((1.0, 2.0, 4.0))
+
+
+@st.composite
+def snapshot_views(draw):
+    """(ids, capacity, available, demand, threshold) of a small full view with
+    distinct, unsorted ids; half of them are fresh clusters of identical hosts."""
+    n = draw(st.integers(1, 7))
+    ids = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True))
+    if draw(st.booleans()):
+        shape = draw(st.tuples(CAPACITY, CAPACITY))
+        capacity = available = [shape] * n
+    else:
+        capacity = draw(st.lists(st.tuples(CAPACITY, CAPACITY), min_size=n, max_size=n))
+        available = [tuple(draw(st.integers(0, int(8 * c))) / 8 for c in cap) for cap in capacity]
+    demand = draw(st.tuples(EIGHTHS, EIGHTHS).filter(any))
+    threshold = draw(st.integers(0, 8)) / 8
+    return ids, capacity, available, demand, threshold
+
+
+class TestAgainstPlainLoop:
+    @given(snapshot_views())
+    def test_deterministic_kinds_pick_least_key_then_id(self, case):
+        ids, capacity, available, demand, threshold = case
+        view = HostView(np.array(ids), np.array(available), np.array(capacity))
+        request = Request(0, Flavor("f", demand))
+        for kind in DETERMINISTIC_KINDS:
+            policy = PolicyConfig(kind, adaptive_threshold=threshold)
+            expected = reference_choice(kind, ids, available, capacity, demand, threshold)
+            assert choose(policy, view, request, None) == expected, kind
 
 
 class TestRandomizedPolicies:
