@@ -23,17 +23,13 @@ from .ballsbins import (
 )
 from .controller import ApsrController, FlavorCounters, estimate_k
 from .core import (
-    EPS,
-    INFINITE,
     AvailabilityCensus,
     ClusterState,
     ConfigError,
     Flavor,
-    Host,
     ModelError,
     Placement,
     Request,
-    is_available,
     vector,
 )
 from .engine import (
@@ -46,12 +42,10 @@ from .engine import (
     run_experiment,
     sweep,
 )
-from .policies import HostView, PolicyConfig, choose, host_load
+from .policies import HostView, PolicyConfig, choose
 from .workload import (
-    COMPACT_FLEETS,
     DATASET_NAMES,
     DEFAULT_FLEETS,
-    DEFAULT_REPLICAS,
     ArrivalProcess,
     ArrivalSchedule,
     DatasetSpec,
@@ -65,24 +59,19 @@ from .workload import (
 
 __all__ = [
     "__version__",
-    "EPS",
-    "INFINITE",
     "ApsrController",
     "ArrivalProcess",
     "ArrivalSchedule",
     "AvailabilityCensus",
     "BallsBinsParams",
-    "COMPACT_FLEETS",
     "ClusterState",
     "ConfigError",
     "DATASET_NAMES",
     "DEFAULT_FLEETS",
-    "DEFAULT_REPLICAS",
     "DatasetSpec",
     "ExperimentConfig",
     "Flavor",
     "FlavorCounters",
-    "Host",
     "HostView",
     "ModelError",
     "PRESETS",
@@ -103,8 +92,6 @@ __all__ = [
     "expected_happy",
     "expected_happy_given_f",
     "fleet_capacities",
-    "host_load",
-    "is_available",
     "load_dataset",
     "make_config",
     "max_paral",

@@ -30,7 +30,7 @@ from . import __version__
 from .ballsbins import BallsBinsParams, expected_happy, max_paral
 from .core import ConfigError, ModelError
 from .engine import PRESETS, ExperimentConfig, make_config, run_experiment, _with_seed
-from .workload import DATASET_NAMES, DEFAULT_FLEETS, load_dataset, size_hosts
+from .workload import DATASET_NAMES, DEFAULT_FLEETS, fleet_size, load_dataset, size_hosts
 
 ANALYZE_COLUMNS = ("n", "delta_hat", "budget", "k", "s", "d",
                    "expected_happy", "expected_happy_per_scheduler")
@@ -158,6 +158,7 @@ def _timeseries_rows(metrics):
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [config.seed]
+    fleet_size(load_dataset(config.dataset), config.hosts)  # a bad dataset or fleet exits first
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -210,8 +211,9 @@ def cmd_datasets(args) -> int:
     rows = []
     for name in DATASET_NAMES:
         spec = load_dataset(name)
+        unit = 10**spec.decimals
         shapes = " ".join(
-            "x".join(f"{v:g}" for v in cap) + f":{w}" for cap, w in spec.host_shapes
+            "x".join(f"{v / unit:g}" for v in cap) + f":{w}" for cap, w in spec.host_shapes
         )
         rows.append((name, len(spec.flavors), spec.requests_per_replica,
                      "/".join(spec.resources), shapes, DEFAULT_FLEETS[name]))

@@ -1,29 +1,27 @@
-"""Domain model for slot-based VM placement: hosts, flavors, requests, cluster state.
+"""Domain model for slot-based VM placement: flavors, requests, cluster state.
 
-Demand and capacity values are plain 64-bit floats; every availability
-comparison carries a small absolute slack (``EPS``) so that the short-decimal
-values used by the bundled datasets behave deterministically at exact-fit
-boundaries.  A host's availability row is recomputed from its resident demand
-set on every mutation, which keeps the bookkeeping exact: completing every
-request on a host restores its availability bit-for-bit.
+Demand and capacity values are exact non-negative integers in a dataset's
+resource units (a table's values times 10^p, see ``workload.parse_dataset``),
+held as int64.  Every availability comparison is exact, so a demand fits iff
+it is at most the availability in every coordinate.  Placing a request
+subtracts its demand from its host's row and completing it adds the demand
+back, so completing every request on a host restores its availability exactly.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable
 
 import numpy as np
 
-#: Absolute slack used by every availability comparison.
-EPS = 1e-9
+ResourceVector = tuple[int, ...]
 
-#: Request lifetime sentinel for "never departs".
-INFINITE = math.inf
-
-ResourceVector = tuple[float, ...]
+#: Largest resource value, and largest fleet-wide capacity total, the int64
+#: matrices hold.
+MAX_UNITS = int(np.iinfo(np.int64).max)
 
 
 class ModelError(Exception):
@@ -35,20 +33,21 @@ class ConfigError(Exception):
     parameter combinations."""
 
 
-def vector(values: Iterable[float]) -> ResourceVector:
-    """Validate and freeze a resource vector: at least one coordinate, all >= 0."""
-    vec = tuple(float(v) for v in values)
+def vector(values: Iterable[int]) -> ResourceVector:
+    """Validate and freeze a resource vector: at least one coordinate, all
+    non-negative integers."""
+    vec = tuple(values)
     if not vec:
         raise ModelError("resource vector needs at least one coordinate")
     for v in vec:
-        if not v >= 0.0:  # also rejects NaN
-            raise ModelError(f"resource coordinates must be non-negative, got {vec}")
-    return vec
+        if not isinstance(v, Integral) or isinstance(v, bool) or v < 0:
+            raise ModelError(f"resource coordinates must be non-negative integers, got {vec}")
+    return tuple(int(v) for v in vec)
 
 
-def fits(demand: Iterable[float], available: Iterable[float]) -> bool:
-    """demand <= available coordinate-wise, within EPS slack (no dimension check)."""
-    return all(d <= a + EPS for d, a in zip(demand, available))
+def fits(demand: Iterable[int], available: Iterable[int]) -> bool:
+    """demand <= available coordinate-wise (no dimension check)."""
+    return all(d <= a for d, a in zip(demand, available))
 
 
 @dataclass(frozen=True)
@@ -60,35 +59,20 @@ class Flavor:
 
     def __post_init__(self):
         object.__setattr__(self, "demand", vector(self.demand))
-        if not any(v > 0 for v in self.demand):
+        if not any(self.demand):
             raise ModelError(f"flavor {self.id!r} has an all-zero demand vector")
-
-
-@dataclass(frozen=True)
-class Host:
-    """Point-in-time view of one host: fixed capacity plus current availability."""
-
-    id: int
-    capacity: ResourceVector
-    available: ResourceVector
 
 
 @dataclass
 class Request:
     id: int
     flavor: Flavor
-    arrival_slot: int = 0
-    lifetime: float = INFINITE  # slots; INFINITE or a finite value >= 1
-
-    def __post_init__(self):
-        if self.lifetime != INFINITE and self.lifetime < 1:
-            raise ModelError("finite lifetimes must be at least 1 slot")
 
 
 @dataclass(frozen=True)
 class Placement:
     host_id: int
-    departure_slot: float  # arrival + lifetime; INFINITE for immortal requests
+    demand: ResourceVector
 
 
 @dataclass
@@ -105,37 +89,27 @@ class AvailabilityCensus:
         return min(self.per_flavor.values())
 
 
-def is_available(host: Host, flavor: Flavor) -> bool:
-    """True iff the flavor's demand fits the host's current availability."""
-    if len(host.available) != len(flavor.demand):
-        raise ModelError(
-            f"dimension mismatch: host has {len(host.available)} resources, "
-            f"flavor {flavor.id!r} has {len(flavor.demand)}"
-        )
-    return fits(flavor.demand, host.available)
-
-
 class ClusterState:
-    """Mutable cluster: capacity/availability matrices plus placement records.
+    """Mutable cluster: int64 capacity/availability matrices plus placement records.
 
     One instance is owned by a single simulation run; parallel experiments use
     independently constructed states.  Row h of ``available`` always equals
-    ``capacity[h]`` minus the insertion-ordered sum of resident demands, so the
-    conservation between used capacity and placed demands is exact.
+    ``capacity[h]`` minus the sum of the demands placed on host h.
     """
 
-    def __init__(self, capacities: Iterable[Iterable[float]]):
+    def __init__(self, capacities: Iterable[Iterable[int]]):
         caps = [vector(c) for c in capacities]
         if not caps:
             raise ModelError("a cluster needs at least one host")
         if len({len(c) for c in caps}) != 1:
             raise ModelError("all hosts must share one resource dimension")
-        self.capacity = np.array(caps, dtype=float)
+        if sum(map(sum, caps)) > MAX_UNITS:
+            raise ModelError("total capacity does not fit in int64")
+        self.capacity = np.array(caps, dtype=np.int64)
         self.available = self.capacity.copy()
         self.pending: deque[Request] = deque()
         self.placements: dict[int, Placement] = {}
         self.slot = 0
-        self._resident: list[dict[int, ResourceVector]] = [dict() for _ in caps]
 
     @property
     def n(self) -> int:
@@ -145,35 +119,14 @@ class ClusterState:
     def dim(self) -> int:
         return self.capacity.shape[1]
 
-    def host(self, host_id: int) -> Host:
-        """Snapshot view of one host."""
-        self._check_host(host_id)
-        return Host(
-            host_id,
-            tuple(self.capacity[host_id]),
-            tuple(self.available[host_id]),
-        )
-
-    def _check_host(self, host_id: int) -> None:
-        if not 0 <= host_id < self.n:
-            raise ModelError(f"unknown host id {host_id}")
-
-    def _refresh(self, host_id: int) -> None:
-        # availability := capacity - sum of resident demands, in insertion order
-        used = [0.0] * self.dim
-        for demand in self._resident[host_id].values():
-            for j, v in enumerate(demand):
-                used[j] += v
-        for j in range(self.dim):
-            self.available[host_id, j] = self.capacity[host_id, j] - used[j]
-
     def place(self, request: Request, host_id: int) -> bool:
         """Try to place a request; True on success, False on a resolution decline.
 
         A decline leaves the state untouched.  Unknown hosts and double
         placements are model errors, distinct from declines.
         """
-        self._check_host(host_id)
+        if not 0 <= host_id < self.n:
+            raise ModelError(f"unknown host id {host_id}")
         if request.id in self.placements:
             raise ModelError(f"request {request.id} is already placed")
         demand = request.flavor.demand
@@ -183,11 +136,8 @@ class ClusterState:
             )
         if not fits(demand, self.available[host_id]):
             return False
-        self._resident[host_id][request.id] = demand
-        self._refresh(host_id)
-        self.placements[request.id] = Placement(
-            host_id, request.arrival_slot + request.lifetime
-        )
+        self.available[host_id] -= demand
+        self.placements[request.id] = Placement(host_id, demand)
         return True
 
     def complete(self, request_id: int) -> int:
@@ -195,25 +145,22 @@ class ClusterState:
         placement = self.placements.pop(request_id, None)
         if placement is None:
             raise ModelError(f"request {request_id} is not placed")
-        del self._resident[placement.host_id][request_id]
-        self._refresh(placement.host_id)
+        self.available[placement.host_id] += placement.demand
         return placement.host_id
 
     def census(self, flavors: Iterable[Flavor]) -> AvailabilityCensus:
         """Exact per-flavor available-host counts for the current state."""
         counts: dict[str, int] = {}
         for flavor in flavors:
-            demand = np.asarray(flavor.demand, dtype=float)
+            demand = np.asarray(flavor.demand, dtype=np.int64)
             if demand.shape[0] != self.dim:
                 raise ModelError(
                     f"flavor {flavor.id!r} has dimension {demand.shape[0]}, cluster has {self.dim}"
                 )
-            counts[flavor.id] = int(
-                np.count_nonzero((self.available >= demand - EPS).all(axis=1))
-            )
+            counts[flavor.id] = int(np.count_nonzero((self.available >= demand).all(axis=1)))
         return AvailabilityCensus(counts)
 
     def utilization(self) -> float:
         """Fraction of total capacity in use, summed over all coordinates."""
-        total = float(self.capacity.sum())
-        return float((self.capacity - self.available).sum()) / total
+        total = int(self.capacity.sum())
+        return (total - int(self.available.sum())) / total

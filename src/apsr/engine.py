@@ -24,11 +24,11 @@ from .controller import ESTIMATOR_MODES, ApsrController, FlavorCounters
 from .core import ClusterState, ConfigError, Request
 from .policies import DETERMINISTIC_KINDS, HostView, PolicyConfig, choose
 from .workload import (
-    DEFAULT_FLEETS,
     ArrivalProcess,
     build_arrivals,
     build_trace,
     fleet_capacities,
+    fleet_size,
     load_dataset,
 )
 
@@ -261,11 +261,7 @@ class Simulation:
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.dataset = load_dataset(config.dataset)
-        hosts = config.hosts or DEFAULT_FLEETS.get(self.dataset.name)
-        if hosts is None:
-            raise ConfigError(
-                f"dataset {self.dataset.name!r} has no default fleet; set hosts explicitly"
-            )
+        hosts = fleet_size(self.dataset, config.hosts)
         self.state = ClusterState(fleet_capacities(self.dataset, hosts))
         self.budget = config.resolve_budget(self.state.n)
         self.trace = build_trace(self.dataset, config.replicas, (config.seed, _TRACE))
@@ -359,10 +355,8 @@ class Simulation:
 
         if self.schedule is not None and slot < len(self.schedule.counts):
             for _ in range(self.schedule.counts[slot]):
-                request = self.trace[self._next_arrival]
+                state.pending.append(self.trace[self._next_arrival])
                 self._next_arrival += 1
-                request.arrival_slot = slot
-                state.pending.append(request)
 
         if self.controller is not None and self.controller.due(slot):
             census = None

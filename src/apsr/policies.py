@@ -13,7 +13,7 @@ from functools import reduce
 
 import numpy as np
 
-from .core import EPS, ConfigError, Host, Request
+from .core import ConfigError, Request
 
 FULL_SNAPSHOT_KINDS = ("ff", "wf", "random", "ffr", "wfr", "adaptive", "distfromdiag")
 POLICY_KINDS = FULL_SNAPSHOT_KINDS + ("apsr",)
@@ -41,25 +41,19 @@ class PolicyConfig:
 
 @dataclass
 class HostView:
-    """What a scheduler sees: host ids with their availability and capacity rows.
+    """What a scheduler sees: every host id once, with its availability and
+    capacity rows in integer resource units.
 
-    Full views list every host once.  Sample views are drawn with replacement
-    and may repeat ids; ``choose`` collapses them to the distinct set before
-    picking.  A view is treated as read-only: host loads and the fit mask of each
-    demand vector are computed on first use and cached, so all decisions of a slot
+    A view is treated as read-only: host loads and the fit mask of each demand
+    vector are computed on first use and cached, so all decisions of a slot
     share one view of the slot-start snapshot.
     """
 
     ids: np.ndarray
     available: np.ndarray
     capacity: np.ndarray
-    completeness: str = "full"  # "full" | "sample"
     _loads: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.completeness not in ("full", "sample"):
-            raise ConfigError(f"unknown view completeness {self.completeness!r}")
 
     def loads(self) -> np.ndarray:
         """Per-row load: the worst per-resource used fraction."""
@@ -70,19 +64,12 @@ class HostView:
             self._loads = reduce(np.maximum, [(c - a) / c for c, a in columns])
         return self._loads
 
-    def fit_mask(self, demand: tuple[float, ...]) -> np.ndarray:
-        """Rows whose availability takes ``demand`` in every coordinate (EPS slack)."""
+    def fit_mask(self, demand: tuple[int, ...]) -> np.ndarray:
+        """Rows whose availability takes ``demand`` in every coordinate."""
         if demand not in self._masks:
             columns = zip(self.available.T, demand, strict=True)
-            self._masks[demand] = reduce(np.logical_and, [a >= w - EPS for a, w in columns])
+            self._masks[demand] = reduce(np.logical_and, [a >= w for a, w in columns])
         return self._masks[demand]
-
-
-def host_load(host: Host) -> float:
-    """Load of one host: the worst per-resource used fraction."""
-    if any(c <= 0 for c in host.capacity):
-        raise ConfigError(f"host {host.id} has a non-positive capacity coordinate")
-    return max((c - a) / c for c, a in zip(host.capacity, host.available))
 
 
 def _least(keys: np.ndarray, ids: np.ndarray) -> int:
@@ -99,24 +86,25 @@ def choose(
 ) -> int | None:
     """Pick a host for the request from the view, or None to decline.
 
-    Declines happen exactly when no host in the view can take the request's
-    demand.  A returned host is always available for the request in the view.
-    ``rng`` may be None for the ``DETERMINISTIC_KINDS``.  ``sample`` (sampling
-    agent only) holds the rows of a full view it queried, repeats allowed.
+    Declines happen exactly when no host in the view (for the sampling agent:
+    in its sample) can take the request's demand.  A returned host is always
+    available for the request in the view.  ``rng`` may be None for the
+    ``DETERMINISTIC_KINDS``.  ``sample`` (sampling agent only) holds the rows of
+    the view it queried, repeats allowed.
     """
     demand = request.flavor.demand
     mask = view.fit_mask(demand)
 
     if policy.kind == "apsr":
-        ids = view.ids[mask] if sample is None else view.ids[sample[mask[sample]]]
+        if sample is None:
+            raise ConfigError("the sampling agent needs the rows it queried (sample=)")
+        ids = view.ids[sample[mask[sample]]]
         if ids.size == 0:
             return None
         ids.sort()
         candidates = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]  # first occurrences
         return int(candidates[rng.integers(candidates.size)])
 
-    if view.completeness != "full":
-        raise ConfigError(f"policy {policy.kind!r} needs a full snapshot view")
     if view.ids.size == 0:
         raise ConfigError("empty host view")
     if not mask.any():

@@ -13,19 +13,23 @@ table format that also accepts user-supplied files:
 Count-based flavors appear exactly count * replicas times per trace; class-based
 flavors are drawn uniformly within their class, count-per-class times per
 replica.  The final trace order is a uniform shuffle under the seed.
+
+Host and flavor values are read as exact decimals.  With p the most decimal
+places of any of them (at most 9), they are stored as integers in units of
+10^-p, so all resource arithmetic downstream is exact.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from decimal import Decimal, InvalidOperation
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, Flavor, Request, vector
+from .core import MAX_UNITS, ConfigError, Flavor, Request, fits
 from .policies import HostView, PolicyConfig, choose
 
 DATASET_NAMES = ("nfv", "google", "amazon")
@@ -33,16 +37,18 @@ DATASET_NAMES = ("nfv", "google", "amazon")
 #: Fleet sizes used by the large-cloud experiments (dataset -> host count).
 DEFAULT_FLEETS = {"nfv": 837, "amazon": 876, "google": 5989}
 
-#: Smaller study fleets for the same datasets at reduced replica counts.
-COMPACT_FLEETS = {"nfv": 279, "amazon": 126, "google": 5989}
-
-#: Replica counts pairing with DEFAULT_FLEETS.
-DEFAULT_REPLICAS = {"nfv": 30, "amazon": 7, "google": 1}
+#: Most decimal places a table value may have; 10^-9 units keep realistic
+#: capacities far inside int64.
+MAX_DECIMALS = 9
 
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """A parsed dataset table: flavors, their counts or classes, host shapes."""
+    """A parsed dataset table: flavors, their counts or classes, host shapes.
+
+    Host shapes and flavor demands are integers in units of 10^-decimals of
+    the table's values; flavor ids are the table's own tokens.
+    """
 
     name: str
     resources: tuple[str, ...]
@@ -50,7 +56,8 @@ class DatasetSpec:
     flavor_counts: dict[str, int]  # per replica; 0 for class-sampled flavors
     class_counts: dict[str, int]  # per-replica draws per class
     flavor_classes: dict[str, str]  # flavor id -> class name
-    host_shapes: tuple[tuple[tuple[float, ...], int], ...]  # (capacity, weight)
+    host_shapes: tuple[tuple[tuple[int, ...], int], ...]  # (capacity, weight)
+    decimals: int  # table value = stored integer * 10^-decimals
 
     @property
     def dim(self) -> int:
@@ -67,11 +74,11 @@ class DatasetSpec:
 def parse_dataset(text: str, name: str) -> DatasetSpec:
     """Parse the table format described in the module docstring."""
     resource_names: tuple[str, ...] | None = None
-    flavors: list[Flavor] = []
+    demands: dict[str, tuple[Decimal, ...]] = {}  # flavor id -> demand, table order
     flavor_counts: dict[str, int] = {}
     class_counts: dict[str, int] = {}
     flavor_classes: dict[str, str] = {}
-    host_shapes: list[tuple[tuple[float, ...], int]] = []
+    host_shapes: list[tuple[tuple[Decimal, ...], int]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -85,27 +92,28 @@ def parse_dataset(text: str, name: str) -> DatasetSpec:
             elif keyword == "host":
                 if resource_names is None:
                     raise ConfigError("'resources' line must come first")
-                cap = vector(args[: len(resource_names)])
                 if len(args) != len(resource_names) + 1:
                     raise ConfigError("host line: capacity coordinates plus one weight")
-                host_shapes.append((cap, int(args[-1])))
+                host_shapes.append((_amounts(args[:-1]), int(args[-1])))
             elif keyword == "class":
                 class_counts[args[0]] = int(args[1])
             elif keyword == "flavor":
                 if resource_names is None:
                     raise ConfigError("'resources' line must come first")
                 dim = len(resource_names)
-                demand = vector(args[:dim])
+                demand = _amounts(args[:dim])
                 rest = args[dim:]
                 if len(rest) not in (1, 2):
                     raise ConfigError("flavor line: demand, count, optional class")
+                if not any(demand):
+                    raise ConfigError("flavor demand is all zero")
                 count = int(rest[0])
                 if count < 0:
                     raise ConfigError("flavor counts must be >= 0")
                 flavor_id = "x".join(args[:dim])
-                if any(f.id == flavor_id for f in flavors):
+                if flavor_id in demands:
                     raise ConfigError(f"duplicate flavor {flavor_id}")
-                flavors.append(Flavor(flavor_id, demand))
+                demands[flavor_id] = demand
                 flavor_counts[flavor_id] = count
                 if len(rest) == 2:
                     if rest[1] not in class_counts:
@@ -118,20 +126,47 @@ def parse_dataset(text: str, name: str) -> DatasetSpec:
         except ConfigError as exc:
             raise ConfigError(f"{name}:{lineno}: {exc}") from None
 
-    if resource_names is None or not flavors or not host_shapes:
+    if resource_names is None or not demands or not host_shapes:
         raise ConfigError(f"{name}: dataset needs resources, host shapes, and flavors")
     for class_name in class_counts:
         if not any(c == class_name for c in flavor_classes.values()):
             raise ConfigError(f"{name}: class {class_name!r} has no flavors")
+    values = [v for shape, _ in host_shapes for v in shape]
+    values += [v for demand in demands.values() for v in demand]
+    decimals = max(max(0, -v.as_tuple().exponent) for v in values)
+    if decimals > MAX_DECIMALS:
+        raise ConfigError(
+            f"{name}: a value has {decimals} decimal places; at most {MAX_DECIMALS} are supported"
+        )
+    for v in values:
+        # the first test keeps scaleb within the decimal context's precision
+        if v > MAX_UNITS or v.scaleb(decimals) > MAX_UNITS:
+            raise ConfigError(f"{name}: {v} does not fit in int64 in units of 10^-{decimals}")
+
+    def scaled(vec: tuple[Decimal, ...]) -> tuple[int, ...]:
+        return tuple(int(v.scaleb(decimals)) for v in vec)
+
     return DatasetSpec(
         name=name,
         resources=resource_names,
-        flavors=tuple(flavors),
+        flavors=tuple(Flavor(fid, scaled(d)) for fid, d in demands.items()),
         flavor_counts=flavor_counts,
         class_counts=class_counts,
         flavor_classes=flavor_classes,
-        host_shapes=tuple(host_shapes),
+        host_shapes=tuple((scaled(c), w) for c, w in host_shapes),
+        decimals=decimals,
     )
+
+
+def _amounts(tokens: list[str]) -> tuple[Decimal, ...]:
+    """Resource values of a table line as exact, finite, non-negative decimals."""
+    try:
+        values = tuple(Decimal(t) for t in tokens)
+    except InvalidOperation:
+        raise ConfigError(f"resource values must be numbers, got {tokens}") from None
+    if not values or not all(v.is_finite() and v >= 0 for v in values):
+        raise ConfigError(f"resource values must be finite and non-negative, got {tokens}")
+    return values
 
 
 @lru_cache(maxsize=None)
@@ -148,11 +183,19 @@ def load_dataset(name_or_path: str) -> DatasetSpec:
     )
 
 
-def fleet_capacities(spec: DatasetSpec, hosts: int) -> list[tuple[float, ...]]:
+def fleet_size(spec: DatasetSpec, hosts: int | None) -> int:
+    """The configured host count, or the dataset's default fleet when None."""
+    hosts = hosts or DEFAULT_FLEETS.get(spec.name)
+    if hosts is None:
+        raise ConfigError(f"dataset {spec.name!r} has no default fleet; set hosts explicitly")
+    return hosts
+
+
+def fleet_capacities(spec: DatasetSpec, hosts: int) -> list[tuple[int, ...]]:
     """Deterministic host shapes for a fleet: round-robin over weighted shapes."""
     if hosts < 1:
         raise ConfigError(f"need at least one host, got {hosts}")
-    cycle: list[tuple[float, ...]] = []
+    cycle: list[tuple[int, ...]] = []
     for capacity, weight in spec.host_shapes:
         cycle.extend([capacity] * weight)
     return [cycle[i % len(cycle)] for i in range(hosts)]
@@ -202,7 +245,6 @@ class ArrivalProcess:
 class ArrivalSchedule:
     counts: list[int]
     process: ArrivalProcess
-    lambda_d: float | None = None  # finite-lifetime departure rate, if any
 
     @property
     def total(self) -> int:
@@ -283,13 +325,9 @@ def _policy_tag(name: str) -> int:
 def _size_one_run(
     spec: DatasetSpec, trace: list[Request], policy: PolicyConfig, rng
 ) -> int:
-    shape_cycle: list[tuple[float, ...]] = []
-    for capacity, weight in spec.host_shapes:
-        shape_cycle.extend([capacity] * weight)
-
-    limit = len(trace) + len(shape_cycle)
-    capacity = np.empty((limit, spec.dim))
-    available = np.empty((limit, spec.dim))
+    cycle = sum(weight for _, weight in spec.host_shapes)
+    capacity = np.array(fleet_capacities(spec, len(trace) + cycle), dtype=np.int64)
+    available = capacity.copy()  # rows past ``opened`` are hosts not yet opened
     opened = 0
 
     for request in trace:
@@ -302,12 +340,8 @@ def _size_one_run(
             )
             target = choose(policy, view, request, rng)
         while target is None:
-            shape = shape_cycle[opened % len(shape_cycle)]
-            capacity[opened] = shape
-            available[opened] = shape
             opened += 1
-            demand = request.flavor.demand
-            if all(d <= c for d, c in zip(demand, shape)):
+            if fits(request.flavor.demand, capacity[opened - 1]):
                 target = opened - 1
-        available[target] -= np.asarray(request.flavor.demand)
+        available[target] -= request.flavor.demand
     return opened

@@ -152,54 +152,30 @@ def reference_choice(kind, ids, available, capacity, demand, adaptive_threshold=
 
 
 def census_brute(state, flavors) -> dict[str, int]:
-    """Per-flavor available-host counts by a direct double loop."""
-    counts: dict[str, int] = {}
-    for flavor in flavors:
-        count = 0
-        for host_id in range(state.n):
-            if fits(flavor.demand, state.host(host_id).available):
-                count += 1
-        counts[flavor.id] = count
-    return counts
+    """Per-flavor available-host counts by a direct double loop over the rows."""
+    rows = state.available.tolist()
+    return {flavor.id: sum(fits(flavor.demand, row) for row in rows) for flavor in flavors}
 
 
 class ReplayBook:
-    """Mirrors place/complete calls and recomputes the expected availability.
-
-    Uses the same canonical arithmetic as the model is documented to use
-    (capacity minus the insertion-ordered sum of resident demands), so the
-    comparison is exact, with no tolerance.
+    """Mirrors place/complete calls and recounts the expected availability from
+    scratch in plain Python ints: capacity minus the sum of resident demands.
+    Integer units make the comparison exact, with no tolerance.
     """
 
     def __init__(self, capacities):
-        self.capacities = [tuple(float(v) for v in c) for c in capacities]
-        self.resident: list[dict[int, tuple[float, ...]]] = [dict() for _ in self.capacities]
+        self.capacities = [[int(v) for v in c] for c in capacities]
+        self.resident: dict[int, tuple[int, tuple[int, ...]]] = {}  # id -> (host, demand)
 
     def place(self, request_id: int, host_id: int, demand) -> None:
-        self.resident[host_id][request_id] = tuple(float(v) for v in demand)
+        self.resident[request_id] = (host_id, tuple(int(v) for v in demand))
 
     def complete(self, request_id: int) -> None:
-        for resident in self.resident:
-            if request_id in resident:
-                del resident[request_id]
-                return
-        raise KeyError(request_id)
+        del self.resident[request_id]
 
-    def expected_available(self) -> list[list[float]]:
-        rows = []
-        for capacity, resident in zip(self.capacities, self.resident):
-            used = [0.0] * len(capacity)
-            for demand in resident.values():
-                for j, v in enumerate(demand):
-                    used[j] += v
-            rows.append([c - u for c, u in zip(capacity, used)])
+    def expected_available(self) -> list[list[int]]:
+        rows = [list(c) for c in self.capacities]
+        for host_id, demand in self.resident.values():
+            for j, v in enumerate(demand):
+                rows[host_id][j] -= v
         return rows
-
-    def placed_demand_sum(self) -> list[float]:
-        dim = len(self.capacities[0])
-        total = [0.0] * dim
-        for resident in self.resident:
-            for demand in resident.values():
-                for j, v in enumerate(demand):
-                    total[j] += v
-        return total

@@ -107,12 +107,19 @@ class TestSimulate:
         assert run_cli("simulate", tmp_path / "missing.cfg", "--out", tmp_path / "x") == 2
 
     def test_out_of_range_value_rejected_before_any_output(self, tmp_path, capsys):
-        path = tmp_path / "bad.cfg"
-        path.write_text("preset = nfv\ndelta_hat = 2\n")
-        out = tmp_path / "out"
-        assert run_cli("simulate", path, "--out", out) == 2
-        assert not out.exists()
-        assert "running seed" not in capsys.readouterr().err
+        table = tmp_path / "table.txt"  # a user table has no default fleet
+        table.write_text("resources cpu mem\nhost 1 1 1\nflavor 0.5 0.5 2\n")
+        for name, text in [
+            ("range", "preset = nfv\ndelta_hat = 2\n"),
+            ("dataset", "dataset = azure\npolicy = ff\ns = 1\n"),
+            ("fleet", f"dataset = {table}\npolicy = ff\ns = 1\n"),
+        ]:
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(text)
+            out = tmp_path / f"out-{name}"
+            assert run_cli("simulate", path, "--out", out) == 2, name
+            assert not out.exists(), name
+            assert "running seed" not in capsys.readouterr().err, name
 
     def test_malformed_config_line_is_config_error(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -143,6 +150,12 @@ class TestSizeHosts:
     def test_zero_runs_is_usage_error(self):
         assert run_cli("size-hosts", "nfv", "--runs", 0) == 2
 
+    def test_ten_decimal_places_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "fine.txt"
+        path.write_text("resources a b\nhost 1 1 1\nflavor 0.0000000001 0.5 1\n")
+        assert run_cli("size-hosts", path, "--runs", 1) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestDatasets:
     def test_lists_embedded_tables(self, capsys):
@@ -151,3 +164,12 @@ class TestDatasets:
         for name in ("nfv", "google", "amazon"):
             assert name in out
         assert "437" in out and "12477" in out and "1100" in out
+
+    def test_shapes_print_in_table_units(self, capsys):
+        assert run_cli("datasets") == 0
+        assert capsys.readouterr().out == (
+            "name,flavors,requests_per_replica,resources,host_shapes,default_fleet\n"
+            "nfv,16,437,memory/storage,1x1:1,837\n"
+            "google,8,12477,cpu/memory,1x2:1 2x1:1,5989\n"
+            "amazon,15,1100,cpu/memory,1x2:1 2x1:1,876\n"
+        )

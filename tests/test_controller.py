@@ -81,8 +81,8 @@ class TestControllerTick:
     def test_oracle_empty_cloud_maximizes_fleet(self):
         n = 120
         controller = ApsrController(n, SlaBudget(0.05, n), period=1, estimator="oracle")
-        state = ClusterState([(1.0, 1.0)] * n)
-        census = state.census([Flavor("a", (0.3, 0.3))])
+        state = ClusterState([(10, 10)] * n)
+        census = state.census([Flavor("a", (3, 3))])
         s, d = controller.tick(census=census)
         assert (s, d) == scan_max_paral(n, 0.05, n, n)
 

@@ -1,27 +1,27 @@
-"""Cluster-state transition rules: placement, completion, census, conservation."""
+"""Cluster-state transition rules: placement, completion, census, conservation.
+
+Resource values are integers in a dataset's units; these tests use thousandths,
+so a unit host is (1000, 1000).
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from apsr import (
-    AvailabilityCensus,
-    ClusterState,
-    Flavor,
-    Host,
-    ModelError,
-    Request,
-    is_available,
-    vector,
-)
+from apsr import AvailabilityCensus, ClusterState, Flavor, ModelError, Request, vector
+from apsr.core import fits
 from oracles import ReplayBook, census_brute
+
+UNIT = (1000, 1000)
 
 
 def flavor(*demand, fid=None):
     return Flavor(fid or "x".join(str(v) for v in demand), demand)
 
 
-def request(rid, *demand, lifetime=float("inf")):
-    return Request(rid, flavor(*demand), lifetime=lifetime)
+def request(rid, *demand):
+    return Request(rid, flavor(*demand))
 
 
 class TestVectorAndTypes:
@@ -29,99 +29,114 @@ class TestVectorAndTypes:
         with pytest.raises(ModelError):
             vector([])
         with pytest.raises(ModelError):
-            vector([0.5, -0.1])
-        with pytest.raises(ModelError):
-            vector([float("nan")])
+            vector([500, -100])
+
+    def test_vector_accepts_only_integers(self):
+        for bad in ([0.5], [1.0], [float("nan")], [True], ["1"]):
+            with pytest.raises(ModelError):
+                vector(bad)
+        assert vector(np.array([3, 0])) == (3, 0)
+        assert all(type(v) is int for v in vector(np.array([3, 0])))
 
     def test_flavor_needs_positive_coordinate(self):
         with pytest.raises(ModelError):
-            Flavor("zero", (0.0, 0.0))
-        assert Flavor("ok", (0.0, 0.1)).demand == (0.0, 0.1)
-
-    def test_request_lifetime_validation(self):
-        with pytest.raises(ModelError):
-            request(1, 0.1, 0.1, lifetime=0)
-        assert request(1, 0.1, 0.1, lifetime=3).lifetime == 3
+            Flavor("zero", (0, 0))
+        assert Flavor("ok", (0, 100)).demand == (0, 100)
 
 
 class TestIsAvailable:
+    """A host is available for a flavor when the flavor's demand fits the
+    host's availability in every coordinate, exactly."""
+
+    @staticmethod
+    def one_host(*resident):
+        state = ClusterState([UNIT])
+        for rid, demand in enumerate(resident):
+            assert state.place(request(rid, *demand), 0)
+        return state
+
     def test_empty_unit_host_takes_small_demand(self):
-        host = Host(0, (1.0, 1.0), (1.0, 1.0))
-        assert is_available(host, flavor(0.032, 0.04))
+        assert self.one_host().census([flavor(32, 40)]).min_available == 1
 
     def test_full_host_takes_nothing(self):
-        host = Host(0, (1.0, 1.0), (0.0, 0.0))
-        assert not is_available(host, flavor(0.1, 0.1))
+        state = self.one_host((1000, 1000))
+        assert state.census([flavor(1, 0)]).min_available == 0
+        assert not state.place(request(9, 1, 0), 0)
 
     def test_exact_fit_boundary_is_available(self):
-        host = Host(0, (1.0, 1.0), (0.5, 0.5))
-        assert is_available(host, flavor(0.5, 0.5))
+        state = self.one_host((500, 500))
+        assert fits((500, 500), state.available[0])
+        assert not fits((501, 500), state.available[0])
+        assert state.census([flavor(500, 500)]).min_available == 1
+        assert state.place(request(9, 500, 500), 0)
+        assert state.available.tolist() == [[0, 0]]
 
     def test_dimension_mismatch_is_model_error(self):
-        host = Host(0, (1.0, 1.0), (1.0, 1.0))
+        state = self.one_host()
         with pytest.raises(ModelError):
-            is_available(host, flavor(0.1, 0.1, 0.1))
+            state.census([flavor(100, 100, 100)])
+        with pytest.raises(ModelError):
+            state.place(request(1, 100, 100, 100), 0)
 
 
 class TestPlaceComplete:
     def test_place_reduces_availability(self):
-        state = ClusterState([(1.0, 1.0)])
-        assert state.place(request(1, 0.3, 0.3), 0)
-        assert np.allclose(state.available[0], [0.7, 0.7])
+        state = ClusterState([UNIT])
+        assert state.place(request(1, 300, 300), 0)
+        assert state.available.tolist() == [[700, 700]]
+        assert state.available.dtype == np.int64
 
     def test_insufficient_coordinate_declines_without_change(self):
-        state = ClusterState([(1.0, 1.0)])
-        state.place(request(1, 0.9, 0.0), 0)
+        state = ClusterState([UNIT])
+        state.place(request(1, 900, 0), 0)
         before = state.available.copy()
-        assert not state.place(request(2, 0.3, 0.3), 0)
+        assert not state.place(request(2, 300, 300), 0)
         assert np.array_equal(state.available, before)
         assert 2 not in state.placements
 
     def test_capacity_exhaustion_on_second_placement(self):
-        state = ClusterState([(1.0, 1.0)])
-        assert state.place(request(1, 0.6, 0.6), 0)
-        assert not state.place(request(2, 0.6, 0.6), 0)
+        state = ClusterState([UNIT])
+        assert state.place(request(1, 600, 600), 0)
+        assert not state.place(request(2, 600, 600), 0)
 
     def test_unknown_host_is_model_error_not_decline(self):
-        state = ClusterState([(1.0, 1.0)])
+        state = ClusterState([UNIT])
         with pytest.raises(ModelError):
-            state.place(request(1, 0.1, 0.1), 5)
+            state.place(request(1, 100, 100), 5)
 
     def test_double_place_is_model_error(self):
-        state = ClusterState([(1.0, 1.0)])
-        state.place(request(1, 0.1, 0.1), 0)
+        state = ClusterState([UNIT])
+        state.place(request(1, 100, 100), 0)
         with pytest.raises(ModelError):
-            state.place(request(1, 0.1, 0.1), 0)
+            state.place(request(1, 100, 100), 0)
 
     def test_place_then_complete_is_state_identity(self):
-        state = ClusterState([(1.0, 1.0), (1.0, 2.0)])
-        state.place(request(1, 0.3, 0.54), 1)
+        state = ClusterState([UNIT, (1000, 2000)])
+        state.place(request(1, 300, 540), 1)
         before = state.available.copy()
-        state.place(request(2, 0.19, 0.04), 1)
-        state.complete(2)
+        state.place(request(2, 190, 40), 1)
+        assert state.complete(2) == 1
         assert np.array_equal(state.available, before)
 
     def test_complete_of_never_placed_id_errors(self):
-        state = ClusterState([(1.0, 1.0)])
+        state = ClusterState([UNIT])
         with pytest.raises(ModelError):
             state.complete(42)
 
-    def test_departure_slot_recorded(self):
-        state = ClusterState([(1.0, 1.0)])
-        req = request(7, 0.1, 0.1, lifetime=5)
-        req.arrival_slot = 3
-        state.place(req, 0)
-        assert state.placements[7].departure_slot == 8
+    def test_placement_records_host_and_demand(self):
+        state = ClusterState([UNIT, UNIT])
+        state.place(request(7, 100, 200), 1)
+        assert (state.placements[7].host_id, state.placements[7].demand) == (1, (100, 200))
 
 
 class TestConservation:
     def test_interleaved_ops_replay_exactly(self):
-        """Replay checker: availability equals capacity minus resident demands,
-        bit-for-bit, after every operation in an interleaved sequence."""
-        caps = [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0)]
+        """Replay checker: availability equals capacity minus resident demands
+        after every operation in an interleaved sequence."""
+        caps = [UNIT, (1000, 2000), (2000, 1000)]
         state = ClusterState(caps)
         book = ReplayBook(caps)
-        demands = [(0.3, 0.54), (0.19, 0.04), (0.5, 0.125), (0.032, 0.04), (0.354, 0.062)]
+        demands = [(300, 540), (190, 40), (500, 125), (32, 40), (354, 62)]
         ops = [
             ("place", 0, 0), ("place", 1, 1), ("place", 2, 2),
             ("complete", 1, None), ("place", 3, 0), ("place", 4, 1),
@@ -134,13 +149,11 @@ class TestConservation:
             else:
                 state.complete(rid)
                 book.complete(rid)
-            assert np.array_equal(state.available, np.array(book.expected_available()))
-            used = (state.capacity - state.available).sum(axis=0)
-            assert np.allclose(used, book.placed_demand_sum(), atol=1e-9)
+            assert state.available.tolist() == book.expected_available()
 
     def test_random_soak_conserves(self):
         rng = np.random.default_rng(7)
-        caps = [(1.0, 1.0)] * 10
+        caps = [UNIT] * 10
         state = ClusterState(caps)
         book = ReplayBook(caps)
         alive = []
@@ -150,45 +163,83 @@ class TestConservation:
                 state.complete(victim)
                 book.complete(victim)
             else:
-                demand = tuple(rng.choice([0.001, 0.016, 0.032, 0.19, 0.3]) for _ in range(2))
+                demand = tuple(int(rng.choice([1, 16, 32, 190, 300])) for _ in range(2))
                 host = int(rng.integers(10))
                 if state.place(request(rid, *demand), host):
                     book.place(rid, host, demand)
                     alive.append(rid)
-        assert np.array_equal(state.available, np.array(book.expected_available()))
+        assert state.available.tolist() == book.expected_available()
+
+
+@st.composite
+def operation_sequences(draw):
+    """Host capacities plus a list of (place?, index, demand) operations."""
+    dim = draw(st.integers(1, 3))
+    coordinate = st.integers(0, 12)
+    caps = draw(st.lists(st.tuples(*[coordinate] * dim), min_size=1, max_size=4))
+    demand = st.tuples(*[st.integers(0, 8)] * dim).filter(any)
+    ops = draw(st.lists(st.tuples(st.booleans(), st.integers(0, 50), demand), max_size=40))
+    return caps, ops
+
+
+class TestClusterProperties:
+    @given(operation_sequences())
+    def test_random_place_complete_sequences(self, case):
+        """After every operation: available == capacity - sum of resident
+        demands (recounted in plain ints), no coordinate is negative, and
+        place declines exactly when the demand does not fit."""
+        caps, ops = case
+        state = ClusterState(caps)
+        book = ReplayBook(caps)
+        alive: list[int] = []
+        for rid, (is_place, index, demand) in enumerate(ops):
+            if is_place or not alive:
+                host = index % len(caps)
+                fit = all(w <= a for w, a in zip(demand, book.expected_available()[host]))
+                assert state.place(request(rid, *demand), host) == fit
+                if fit:
+                    book.place(rid, host, demand)
+                    alive.append(rid)
+            else:
+                victim = alive.pop(index % len(alive))
+                assert state.complete(victim) == book.resident[victim][0]
+                book.complete(victim)
+            rows = state.available.tolist()
+            assert rows == book.expected_available()
+            assert min(min(row) for row in rows) >= 0
 
 
 class TestCensus:
     def test_empty_cluster_counts_everything(self):
-        state = ClusterState([(1.0, 1.0)] * 8)
-        flavors = [flavor(0.032, 0.04), flavor(0.19, 0.54)]
+        state = ClusterState([UNIT] * 8)
+        flavors = [flavor(32, 40), flavor(190, 540)]
         census = state.census(flavors)
         assert census.per_flavor == {f.id: 8 for f in flavors}
         assert census.min_available == 8
 
     def test_full_cluster_counts_zero(self):
-        state = ClusterState([(1.0, 1.0)] * 4)
+        state = ClusterState([UNIT] * 4)
         for host in range(4):
-            assert state.place(request(host, 1.0, 1.0), host)
-        census = state.census([flavor(0.001, 0.01)])
+            assert state.place(request(host, 1000, 1000), host)
+        census = state.census([flavor(1, 10)])
         assert census.min_available == 0
 
     def test_mixed_state_matches_brute_force(self):
         rng = np.random.default_rng(11)
-        state = ClusterState([(1.0, 1.0)] * 10)
+        state = ClusterState([UNIT] * 10)
         rid = 0
         for _ in range(40):
-            demand = tuple(rng.choice([0.04, 0.1, 0.3, 0.54]) for _ in range(2))
+            demand = tuple(int(rng.choice([40, 100, 300, 540])) for _ in range(2))
             state.place(request(rid, *demand), int(rng.integers(10)))
             rid += 1
-        flavors = [flavor(0.032, 0.04), flavor(0.19, 0.54), flavor(0.5, 0.5)]
+        flavors = [flavor(32, 40), flavor(190, 540), flavor(500, 500)]
         assert state.census(flavors).per_flavor == census_brute(state, flavors)
 
     def test_census_monotone_under_place_and_complete(self):
-        state = ClusterState([(1.0, 1.0)] * 5)
-        flavors = [flavor(0.3, 0.3), flavor(0.7, 0.7)]
+        state = ClusterState([UNIT] * 5)
+        flavors = [flavor(300, 300), flavor(700, 700)]
         before = state.census(flavors).per_flavor
-        state.place(request(1, 0.5, 0.5), 2)
+        state.place(request(1, 500, 500), 2)
         after = state.census(flavors).per_flavor
         assert all(after[f] <= before[f] for f in after)
         state.complete(1)
@@ -206,10 +257,15 @@ class TestClusterValidation:
         with pytest.raises(ModelError):
             ClusterState([])
         with pytest.raises(ModelError):
-            ClusterState([(1.0, 1.0), (1.0,)])
+            ClusterState([UNIT, (1000,)])
+
+    def test_total_capacity_must_fit_int64(self):
+        ClusterState([(2**62, 2**62 - 1)])
+        with pytest.raises(ModelError):
+            ClusterState([(2**62, 2**62)])
 
     def test_utilization(self):
-        state = ClusterState([(1.0, 1.0), (1.0, 1.0)])
+        state = ClusterState([UNIT, UNIT])
         assert state.utilization() == 0.0
-        state.place(request(1, 0.5, 0.5), 0)
-        assert state.utilization() == pytest.approx(0.25)
+        state.place(request(1, 500, 500), 0)
+        assert state.utilization() == 0.25

@@ -1,4 +1,8 @@
-"""Placement policy behavior: choices, tie-breaking, randomness, safety."""
+"""Placement policy behavior: choices, tie-breaking, randomness, safety.
+
+Resource values are integers in a dataset's units; these tests use hundredths,
+so a unit host is (100, 100).
+"""
 
 import numpy as np
 import pytest
@@ -6,21 +10,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from apsr import ConfigError, Flavor, Host, HostView, PolicyConfig, Request, choose, host_load
+from apsr import ConfigError, Flavor, HostView, PolicyConfig, Request, choose
 from apsr.ballsbins import sigma
 from apsr.policies import DETERMINISTIC_KINDS
 from oracles import reference_choice
 
 
-def make_view(available, capacity=None, completeness="full", ids=None):
-    available = np.asarray(available, dtype=float)
+def make_view(available, capacity=None):
+    available = np.asarray(available, dtype=np.int64)
     if capacity is None:
-        capacity = np.ones_like(available)
+        capacity = np.full_like(available, 100)
     else:
-        capacity = np.asarray(capacity, dtype=float)
-    if ids is None:
-        ids = np.arange(available.shape[0])
-    return HostView(np.asarray(ids), available, capacity, completeness)
+        capacity = np.asarray(capacity, dtype=np.int64)
+    return HostView(np.arange(available.shape[0]), available, capacity)
 
 
 def req(*demand):
@@ -32,66 +34,68 @@ def rng():
 
 
 class TestHostLoad:
+    """A host's load is its worst per-resource used fraction (``HostView.loads``)."""
+
     def test_empty_host(self):
-        assert host_load(Host(0, (1.0, 1.0), (1.0, 1.0))) == 0.0
+        assert make_view([[100, 100]]).loads().tolist() == [0.0]
 
     def test_single_used_coordinate(self):
-        assert host_load(Host(0, (1.0, 1.0), (0.5, 1.0))) == 0.5
+        assert make_view([[50, 100]]).loads().tolist() == [0.5]
 
     def test_asymmetric_capacity(self):
-        assert host_load(Host(0, (1.0, 2.0), (0.7, 0.2))) == pytest.approx(0.9)
+        assert make_view([[70, 20]], capacity=[[100, 200]]).loads().tolist() == [0.9]
 
     def test_zero_capacity_coordinate_rejected(self):
         with pytest.raises(ConfigError):
-            host_load(Host(0, (1.0, 0.0), (1.0, 0.0)))
+            make_view([[100, 0]], capacity=[[100, 0]]).loads()
 
 
 class TestDeterministicPolicies:
     def test_ff_lowest_available_id(self):
-        view = make_view([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
-        assert choose(PolicyConfig("ff"), view, req(0.5, 0.5), rng()) == 1
+        view = make_view([[0, 0], [100, 100], [100, 100]])
+        assert choose(PolicyConfig("ff"), view, req(50, 50), rng()) == 1
 
     def test_wf_minimal_load(self):
-        view = make_view([[0.1, 0.1], [0.9, 0.9], [0.5, 0.5]])
-        assert choose(PolicyConfig("wf"), view, req(0.05, 0.05), rng()) == 1
+        view = make_view([[10, 10], [90, 90], [50, 50]])
+        assert choose(PolicyConfig("wf"), view, req(5, 5), rng()) == 1
 
     def test_wf_tie_breaks_to_lowest_id(self):
-        view = make_view([[0.5, 0.5], [0.5, 0.5]])
-        assert choose(PolicyConfig("wf"), view, req(0.1, 0.1), rng()) == 0
+        view = make_view([[50, 50], [50, 50]])
+        assert choose(PolicyConfig("wf"), view, req(10, 10), rng()) == 0
 
     def test_adaptive_switches_regime_at_threshold(self):
         # loads 0.2/0.2 -> mean 0.2 < 0.6: behaves like wf (host 1 least loaded)
-        low = make_view([[0.7, 0.8], [0.9, 0.9]])
-        assert choose(PolicyConfig("adaptive"), low, req(0.1, 0.1), rng()) == 1
+        low = make_view([[70, 80], [90, 90]])
+        assert choose(PolicyConfig("adaptive"), low, req(10, 10), rng()) == 1
         # loads 0.8/0.6 -> mean 0.7 >= 0.6: behaves like ff (host 0 first available)
-        high = make_view([[0.2, 0.3], [0.4, 0.4]])
-        assert choose(PolicyConfig("adaptive"), high, req(0.1, 0.1), rng()) == 0
+        high = make_view([[20, 30], [40, 40]])
+        assert choose(PolicyConfig("adaptive"), high, req(10, 10), rng()) == 0
 
     def test_distfromdiag_prefers_balanced_usage(self):
         # host 0 would end up lopsided (cpu-heavy), host 1 perfectly balanced
-        view = make_view([[0.4, 1.0], [0.6, 0.8]], capacity=[[1.0, 1.0], [1.0, 1.0]])
-        assert choose(PolicyConfig("distfromdiag"), view, req(0.2, 0.4), rng()) == 1
+        view = make_view([[40, 100], [60, 80]], capacity=[[100, 100], [100, 100]])
+        assert choose(PolicyConfig("distfromdiag"), view, req(20, 40), rng()) == 1
 
     def test_load_aware_kinds_reject_zero_capacity(self):
-        view = make_view([[1.0, 0.0], [1.0, 1.0]], capacity=[[1.0, 0.0], [1.0, 1.0]])
+        view = make_view([[100, 0], [100, 100]], capacity=[[100, 0], [100, 100]])
         for kind in ("wf", "wfr", "adaptive", "distfromdiag"):
             with pytest.raises(ConfigError):
-                choose(PolicyConfig(kind), view, req(0.5, 0.0), rng())
+                choose(PolicyConfig(kind), view, req(50, 0), rng())
 
     def test_deterministic_kinds_repeat_identically(self):
-        view = make_view([[0.3, 0.6], [0.8, 0.2], [0.5, 0.5], [0.0, 0.0]])
-        request = req(0.2, 0.2)
+        view = make_view([[30, 60], [80, 20], [50, 50], [0, 0]])
+        request = req(20, 20)
         for kind in ("ff", "wf", "adaptive", "distfromdiag"):
             first = choose(PolicyConfig(kind), view, request, rng())
             again = choose(PolicyConfig(kind), view, request, np.random.default_rng(999))
             assert first == again
 
 
-# Coordinates on a grid of eighths with power-of-two capacities make every
-# sum exact, so numpy and the plain loop agree bit for bit whatever order
-# they add in.
-EIGHTHS = st.integers(0, 16).map(lambda v: v / 8)
-CAPACITY = st.sampled_from((1.0, 2.0, 4.0))
+# Power-of-two capacities make every used fraction a short binary fraction,
+# so every sum is exact and numpy and the plain loop agree bit for bit
+# whatever order they add in.
+UNITS = st.integers(0, 16)
+CAPACITY = st.sampled_from((8, 16, 32))
 
 
 @st.composite
@@ -105,8 +109,8 @@ def snapshot_views(draw):
         capacity = available = [shape] * n
     else:
         capacity = draw(st.lists(st.tuples(CAPACITY, CAPACITY), min_size=n, max_size=n))
-        available = [tuple(draw(st.integers(0, int(8 * c))) / 8 for c in cap) for cap in capacity]
-    demand = draw(st.tuples(EIGHTHS, EIGHTHS).filter(any))
+        available = [tuple(draw(st.integers(0, c)) for c in cap) for cap in capacity]
+    demand = draw(st.tuples(UNITS, UNITS).filter(any))
     threshold = draw(st.integers(0, 8)) / 8
     return ids, capacity, available, demand, threshold
 
@@ -125,8 +129,8 @@ class TestAgainstPlainLoop:
 
 class TestRandomizedPolicies:
     def test_lambda_one_collapses_to_deterministic(self):
-        view = make_view([[0.3, 0.6], [0.8, 0.2], [0.5, 0.5]])
-        request = req(0.1, 0.1)
+        view = make_view([[30, 60], [80, 20], [50, 50]])
+        request = req(10, 10)
         assert choose(PolicyConfig("ffr", lambda_rank=1), view, request, rng()) == choose(
             PolicyConfig("ff"), view, request, rng()
         )
@@ -135,61 +139,85 @@ class TestRandomizedPolicies:
         )
 
     def test_ffr_stays_within_lowest_lambda_ids(self):
-        view = make_view(np.ones((10, 2)))
+        view = make_view(np.full((10, 2), 100))
         generator = np.random.default_rng(3)
         picks = {
-            choose(PolicyConfig("ffr", lambda_rank=3), view, req(0.1, 0.1), generator)
+            choose(PolicyConfig("ffr", lambda_rank=3), view, req(10, 10), generator)
             for _ in range(200)
         }
         assert picks == {0, 1, 2}
 
     def test_wfr_candidate_set_is_least_loaded(self):
-        available = np.ones((6, 2))
-        available[[1, 4]] = 0.2  # hosts 1 and 4 heavily loaded
+        available = np.full((6, 2), 100)
+        available[[1, 4]] = 20  # hosts 1 and 4 heavily loaded
         view = make_view(available)
         generator = np.random.default_rng(3)
         picks = {
-            choose(PolicyConfig("wfr", lambda_rank=4), view, req(0.1, 0.1), generator)
+            choose(PolicyConfig("wfr", lambda_rank=4), view, req(10, 10), generator)
             for _ in range(300)
         }
         assert picks == {0, 2, 3, 5}
 
     def test_random_uniform_chi_square(self):
-        view = make_view(np.ones((7, 2)))
+        view = make_view(np.full((7, 2), 100))
         generator = np.random.default_rng(12)
         counts = np.zeros(7)
         trials = 21_000
         for _ in range(trials):
-            counts[choose(PolicyConfig("random"), view, req(0.1, 0.1), generator)] += 1
+            counts[choose(PolicyConfig("random"), view, req(10, 10), generator)] += 1
         expected = trials / 7
         statistic = ((counts - expected) ** 2 / expected).sum()
         assert statistic < chi2.ppf(0.999, df=6)
 
 
 class TestSamplingAgent:
+    """The sampling agent decides on the rows of a full view it queried."""
+
     def test_declines_on_all_full_sample(self):
-        view = make_view([[0.0, 0.0], [0.0, 0.0]], completeness="sample", ids=[3, 5])
-        assert choose(PolicyConfig("apsr"), view, req(0.1, 0.1), rng()) is None
+        available = np.full((6, 2), 100)
+        available[[3, 5]] = 0
+        sample = np.array([3, 5, 3])
+        view = make_view(available)
+        assert choose(PolicyConfig("apsr"), view, req(10, 10), rng(), sample=sample) is None
 
     def test_duplicates_collapse_to_distinct(self):
-        view = make_view([[1.0, 1.0]] * 4, completeness="sample", ids=[2, 2, 2, 2])
+        view = make_view(np.full((4, 2), 100))
+        sample = np.array([2, 2, 2, 2])
         generator = np.random.default_rng(8)
-        picks = {choose(PolicyConfig("apsr"), view, req(0.1, 0.1), generator) for _ in range(50)}
+        picks = {
+            choose(PolicyConfig("apsr"), view, req(10, 10), generator, sample=sample)
+            for _ in range(50)
+        }
         assert picks == {2}
+
+    def test_picks_only_fitting_sampled_hosts(self):
+        available = np.full((6, 2), 100)
+        available[[1, 4]] = 0
+        view = make_view(available)
+        sample = np.array([1, 4, 2, 4, 0, 2])
+        generator = np.random.default_rng(5)
+        picks = {
+            choose(PolicyConfig("apsr"), view, req(10, 10), generator, sample=sample)
+            for _ in range(200)
+        }
+        assert picks == {0, 2}
+
+    def test_needs_its_sample(self):
+        with pytest.raises(ConfigError):
+            choose(PolicyConfig("apsr"), make_view([[100, 100]]), req(10, 10), rng())
 
     def test_decline_rate_tracks_sigma(self):
         """Over random samples of a cluster with k of n available hosts, the
         agent's decline frequency matches 1 - sigma(n, k, d) within 3 SE."""
         n, k, d, trials = 40, 12, 3, 30_000
-        available = np.zeros((n, 2))
-        available[:k] = 1.0
-        capacity = np.ones((n, 2))
+        available = np.zeros((n, 2), dtype=np.int64)
+        available[:k] = 100
+        view = make_view(available)
         generator = np.random.default_rng(21)
         declines = 0
         for _ in range(trials):
             sample = generator.integers(0, n, size=d)
-            view = HostView(sample, available[sample], capacity[sample], "sample")
-            if choose(PolicyConfig("apsr"), view, req(0.5, 0.5), generator) is None:
+            if choose(PolicyConfig("apsr"), view, req(50, 50), generator, sample=sample) is None:
                 declines += 1
         p_decline = 1.0 - sigma(n, k, d)
         se = np.sqrt(p_decline * (1 - p_decline) / trials)
@@ -197,21 +225,15 @@ class TestSamplingAgent:
 
 
 class TestInterfaceContracts:
-    def test_sample_view_rejected_by_snapshot_policies(self):
-        view = make_view([[1.0, 1.0]], completeness="sample")
-        for kind in ("ff", "wf", "random", "ffr", "wfr", "adaptive", "distfromdiag"):
-            with pytest.raises(ConfigError):
-                choose(PolicyConfig(kind), view, req(0.1, 0.1), rng())
-
     def test_decline_iff_nothing_available_and_safety(self):
         generator = np.random.default_rng(77)
         for _ in range(60):
             m = int(generator.integers(1, 9))
-            available = generator.uniform(0, 1, size=(m, 2)).round(2)
+            available = generator.integers(0, 101, size=(m, 2))
             view = make_view(available)
-            request = req(*generator.uniform(0, 1, size=2).round(2))
+            request = req(*generator.integers(1, 101, size=2).tolist())
             demand = np.asarray(request.flavor.demand)
-            fits_mask = (available >= demand - 1e-9).all(axis=1)
+            fits_mask = (available >= demand).all(axis=1)
             for kind in ("ff", "wf", "random", "ffr", "wfr", "adaptive", "distfromdiag"):
                 picked = choose(PolicyConfig(kind), view, request, generator)
                 if not fits_mask.any():
@@ -226,7 +248,3 @@ class TestInterfaceContracts:
             PolicyConfig("ffr", lambda_rank=0)
         with pytest.raises(ConfigError):
             PolicyConfig("adaptive", adaptive_threshold=1.5)
-
-    def test_view_completeness_validation(self):
-        with pytest.raises(ConfigError):
-            make_view([[1.0, 1.0]], completeness="partial")

@@ -8,12 +8,15 @@ import pytest
 from apsr import (
     ArrivalProcess,
     ConfigError,
+    Simulation,
     build_arrivals,
     build_trace,
     fleet_capacities,
     load_dataset,
+    make_config,
     size_hosts,
 )
+from apsr.workload import parse_dataset
 
 
 class TestEmbeddedDatasets:
@@ -23,14 +26,16 @@ class TestEmbeddedDatasets:
         assert len(spec.flavors) == 16
         assert spec.flavor_counts["0.001x0.01"] == 14
         assert spec.flavor_counts["0.032x0.04"] == 165
-        assert spec.host_shapes == (((1.0, 1.0), 1),)
+        assert spec.decimals == 3  # values are integers in units of 10^-3
+        assert spec.host_shapes == (((1000, 1000), 1),)
+        assert next(f for f in spec.flavors if f.id == "0.001x0.54").demand == (1, 540)
 
     def test_google_totals_and_shapes(self):
         spec = load_dataset("google")
         assert spec.requests_per_replica == 12_477
         assert len(spec.flavors) == 8
         assert spec.flavor_counts["0.5x0.5"] == 6672
-        assert spec.host_shapes == (((1.0, 2.0), 1), ((2.0, 1.0), 1))
+        assert spec.host_shapes == (((1000, 2000), 1), ((2000, 1000), 1))
 
     def test_amazon_classes(self):
         spec = load_dataset("amazon")
@@ -80,6 +85,54 @@ class TestDatasetFiles:
         path.write_text(text)
         with pytest.raises(ConfigError):
             load_dataset(str(path))
+
+
+class TestIntegerUnits:
+    def test_scale_is_the_most_decimal_places_in_the_table(self):
+        spec = parse_dataset("resources a b\nhost 1 2.5 1\nflavor 0.25 1E+1 1\n", "t")
+        assert spec.decimals == 2
+        assert spec.host_shapes == (((100, 250), 1),)
+        assert spec.flavors[0].demand == (25, 1000)
+        assert spec.flavors[0].id == "0.25x1E+1"  # ids stay the table's tokens
+
+    def test_integer_table_keeps_unit_scale(self):
+        spec = parse_dataset("resources a\nhost 4 1\nflavor 3 1\n", "t")
+        assert (spec.decimals, spec.host_shapes, spec.flavors[0].demand) == (0, (((4,), 1),), (3,))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "resources a\nhost 1 1\nflavor 0.0000000001 1\n",  # 10 decimal places
+            "resources a\nhost 9223372036854775808 1\nflavor 1 1\n",  # beyond int64
+            "resources a\nhost 9223372036.854775808 1\nflavor 1 1\n",  # beyond int64 once scaled
+            "resources a\nhost 1E+999999999 1\nflavor 1 1\n",
+            "resources a\nhost inf 1\nflavor 1 1\n",
+            "resources a\nhost -1 1\nflavor 0.5 1\n",
+            "resources a\nhost 1 1\nflavor 0 1\n",  # all-zero demand
+        ],
+    )
+    def test_unrepresentable_values_rejected(self, text):
+        with pytest.raises(ConfigError):
+            parse_dataset(text, "bad")
+
+    def test_nine_decimal_places_and_int64_edge_accepted(self):
+        spec = parse_dataset(
+            "resources a\nhost 9223372036.854775807 1\nflavor 0.000000001 1\n", "t"
+        )
+        assert spec.host_shapes == (((2**63 - 1,), 1),)
+        assert spec.flavors[0].demand == (1,)
+
+    def test_three_tenths_fill_a_three_tenths_host_exactly(self, tmp_path):
+        # in binary floats 0.1 + 0.1 + 0.1 > 0.3, so the third request would not fit
+        path = tmp_path / "tenths.txt"
+        path.write_text("resources a\nhost 0.3 1\nflavor 0.1 3\n")
+        spec = load_dataset(str(path))
+        assert size_hosts(spec, 1, ("ff", "wf", "random"), runs=2, seed=0).hosts == 1
+        sim = Simulation(make_config(dataset=str(path), hosts=1, policy="ff", schedulers=1))
+        metrics = sim.run()
+        assert (metrics.attempts, metrics.successes) == (3, 3)
+        assert sim.state.available.tolist() == [[0]]
+        assert sim.state.utilization() == 1.0
 
 
 class TestBuildTrace:
@@ -159,12 +212,12 @@ class TestBuildArrivals:
 
 class TestFleetCapacities:
     def test_nfv_unit_hosts(self):
-        assert fleet_capacities(load_dataset("nfv"), 3) == [(1.0, 1.0)] * 3
+        assert fleet_capacities(load_dataset("nfv"), 3) == [(1000, 1000)] * 3
 
     def test_equal_proportions_exact_for_even_fleet(self):
         fleet = fleet_capacities(load_dataset("google"), 100)
-        assert fleet.count((1.0, 2.0)) == 50
-        assert fleet.count((2.0, 1.0)) == 50
+        assert fleet.count((1000, 2000)) == 50
+        assert fleet.count((2000, 1000)) == 50
 
 
 class TestSizeHosts:
