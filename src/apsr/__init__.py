@@ -15,7 +15,6 @@ from .ballsbins import (
     SlaBudget,
     binom_pmf,
     expected_happy,
-    expected_happy_given_f,
     max_paral,
     satisfy_sla,
     sigma,
@@ -47,7 +46,6 @@ from .workload import (
     DATASET_NAMES,
     DEFAULT_FLEETS,
     ArrivalProcess,
-    ArrivalSchedule,
     DatasetSpec,
     SizingResult,
     build_arrivals,
@@ -61,7 +59,6 @@ __all__ = [
     "__version__",
     "ApsrController",
     "ArrivalProcess",
-    "ArrivalSchedule",
     "AvailabilityCensus",
     "BallsBinsParams",
     "ClusterState",
@@ -90,7 +87,6 @@ __all__ = [
     "choose",
     "estimate_k",
     "expected_happy",
-    "expected_happy_given_f",
     "fleet_capacities",
     "load_dataset",
     "make_config",

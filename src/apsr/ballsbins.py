@@ -7,9 +7,10 @@ picks uniformly among the distinct available bins it saw.  Each available bin
 accepts at most one agent, so an agent is "happy" iff it wins the bin it chose.
 
 Sampling with replacement is what makes ``sigma = 1 - ((n-k)/n)**d`` an exact
-identity rather than a bound; the simulator's sampling agents follow the same
-convention.  ``k == 0`` and ``d == 0`` yield zero probability and zero expected
-winners instead of errors, so callers degrade gracefully at full utilization.
+identity rather than a bound; the simulator's sampling agents pick with the
+Monte-Carlo game's own kernel, ``pick_distinct``.  ``k == 0`` and ``d == 0``
+yield zero probability and zero expected winners instead of errors, so
+callers degrade gracefully at full utilization.
 """
 
 from __future__ import annotations
@@ -89,21 +90,6 @@ def binom_pmf(f, s: int, p: float):
     return float(pmf) if np.isscalar(f) else pmf
 
 
-def expected_happy_given_f(k: int, f: int) -> float:
-    """Expected winners when f agents each pick uniformly among k bins.
-
-    Equals the expected number of occupied bins, k * (1 - ((k-1)/k)**f);
-    zero when there are no bins or no agents.
-    """
-    if k < 0:
-        raise ValueError(f"bin count must be >= 0, got k={k}")
-    if f < 0:
-        raise ValueError(f"agent count must be >= 0, got f={f}")
-    if k == 0 or f == 0:
-        return 0.0
-    return k * (1.0 - ((k - 1) / k) ** f)
-
-
 def expected_happy(params: BallsBinsParams) -> float:
     """Expected number of happy agents for one play of the game.
 
@@ -176,15 +162,41 @@ class SimulationResult:
         return float(np.sqrt(max(var, 0.0) / self.trials))
 
 
+def pick_distinct(draws: np.ndarray, sentinel: int, rank) -> np.ndarray:
+    """Each row's pick among the distinct available values it drew.
+
+    ``draws`` is an (..., d) integer array whose unavailable entries equal
+    ``sentinel``, a value above every available one; it is sorted in place
+    along its last axis.  ``rank(distinct)`` gets the (...) array of each
+    row's distinct available count and returns each row's rank in
+    [0, distinct) (read only where distinct > 0).  Returns the (...) array of
+    picks: the available value of that rank in ascending order, or
+    ``sentinel`` where a row drew nothing available.  Uniform ranks give the
+    sampling agent's rule, a uniform pick among the distinct available bins
+    (hosts) it saw; the game and the engine both pick through here.
+    """
+    draws.sort(axis=-1)
+    first = draws < sentinel
+    first[..., 1:] &= draws[..., 1:] != draws[..., :-1]
+    distinct = first.sum(axis=-1)
+    counts = distinct.ravel()
+    # draws[first] lists each row's distinct available values in ascending
+    # order, row after row; a row's run starts after those of earlier rows
+    position = np.cumsum(counts) - counts + np.asarray(rank(distinct)).ravel()
+    seen = counts > 0
+    picks = np.full(counts.shape, sentinel, dtype=draws.dtype)
+    picks[seen] = draws[first][position[seen]]
+    return picks.reshape(distinct.shape)
+
+
 def simulate_balls_and_bins(
     params: BallsBinsParams, trials: int, seed, chunk: int = 16384
 ) -> SimulationResult:
     """Play the sampling game ``trials`` times with a seeded generator.
 
-    Vectorized over trials: agents' distinct available samples are extracted by
-    sorting each d-sample and masking first occurrences, then one of the
-    distinct bins is picked uniformly.  A bin selected by one or more
-    potentially happy agents produces exactly one happy agent.
+    Vectorized over trials: each agent picks through ``pick_distinct`` with a
+    uniform rank per agent.  A bin selected by one or more potentially happy
+    agents produces exactly one happy agent.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -201,28 +213,18 @@ def simulate_balls_and_bins(
     while done < trials:
         m = min(chunk, trials - done)
         vals = rng.integers(0, n, size=(m, s, d))
-        vals[vals >= k] = n  # unavailable draws get sentinel n so they sort to the tail
-        vals.sort(axis=2)
-        first = vals < n
-        first[:, :, 1:] &= vals[:, :, 1:] != vals[:, :, :-1]
-        distinct = first.sum(axis=2)
-        ph = distinct > 0
-        pick = (rng.random((m, s)) * distinct).astype(np.int64)
-        cumulative = np.cumsum(first, axis=2, dtype=np.int32)
-        del first
-        # the running count of distinct bins first reaches pick + 1 at the picked bin
-        positions = (cumulative == (pick + 1)[:, :, None]).argmax(axis=2)
-        del cumulative
-        selected = np.take_along_axis(vals, positions[:, :, None], axis=2)[:, :, 0]
+        vals[vals >= k] = k  # unavailable draws share the sentinel k
+        selected = pick_distinct(
+            vals, k, lambda distinct: (rng.random(distinct.shape) * distinct).astype(np.int64)
+        )
         del vals
-        selected[~ph] = k  # sentinel for agents that saw no available bin
         # a trial's winners are the distinct available bins its agents selected
         selected.sort(axis=1)
         won = selected < k
+        ph_total += int(won.sum())
         won[:, 1:] &= selected[:, 1:] != selected[:, :-1]
         happy = won.sum(axis=1)
 
-        ph_total += int(ph.sum())
         happy_total += int(happy.sum())
         happy_sq_total += int((happy * happy).sum())
         selection_counts += np.bincount(selected.ravel(), minlength=k + 1)[:k]

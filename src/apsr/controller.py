@@ -37,10 +37,6 @@ class FlavorCounters:
         self._queried.clear()
         self._found.clear()
 
-    def totals(self) -> dict[str, tuple[int, int]]:
-        """flavor id -> (queried, found_available)."""
-        return {fid: (q, self._found.get(fid, 0)) for fid, q in self._queried.items()}
-
     def availability_ratios(self) -> dict[str, float]:
         """found/queried per flavor, skipping flavors never queried this window."""
         return {

@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ballsbins import SlaBudget
+from .ballsbins import SlaBudget, pick_distinct
 from .controller import ESTIMATOR_MODES, ApsrController, FlavorCounters
 from .core import ClusterState, ConfigError, Request
 from .policies import DETERMINISTIC_KINDS, HostView, PolicyConfig, choose
@@ -268,7 +268,7 @@ class Simulation:
         self.schedule = (
             build_arrivals(config.arrival_process(), len(self.trace), (config.seed, _ARRIVALS))
             if self.trace
-            else None
+            else []
         )
         self.policy = PolicyConfig(
             config.policy,
@@ -332,20 +332,31 @@ class Simulation:
 
         A decision reads only the slot's shared snapshot ``view`` and scheduler
         i's own (seed, slot, i) stream, so the order of the pairs changes no target.
+        Sampling agents draw their d-samples, then all pick in one call to the
+        Monte-Carlo game's kernel; every other kind goes through ``choose``.
         """
-        kind = self.policy.kind
-        targets: list[int | None] = []
-        for i, request in schedulers:
-            rng = sample = None
-            if kind not in DETERMINISTIC_KINDS:
-                rng = np.random.default_rng((self.config.seed, _SCHEDULER, slot, i))
-            if kind == "apsr":
-                d = self.controller.d
-                sample = rng.integers(0, self.state.n, size=d)
-                found = int(np.count_nonzero(view.fit_mask(request.flavor.demand)[sample]))
-                self.counters.record(request.flavor.id, d, found)
-            targets.append(choose(self.policy, view, request, rng, sample=sample))
-        return targets
+        pairs = list(schedulers)
+        streams = [
+            None
+            if self.policy.kind in DETERMINISTIC_KINDS
+            else np.random.default_rng((self.config.seed, _SCHEDULER, slot, i))
+            for i, _ in pairs
+        ]
+        if self.policy.kind != "apsr":
+            return [choose(self.policy, view, r, rng) for (_, r), rng in zip(pairs, streams)]
+        if not pairs:
+            return []
+        n, d = self.state.n, self.controller.d
+        rows = np.array([rng.integers(0, n, size=d) for rng in streams])
+        fits = np.array([view.fit_mask(r.flavor.demand)[row] for row, (_, r) in zip(rows, pairs)])
+        for (_, request), found in zip(pairs, fits.sum(axis=1).tolist()):
+            self.counters.record(request.flavor.id, d, found)
+
+        def rank(distinct):  # a second draw only for agents that saw a fitting host
+            return [rng.integers(c) if c else 0 for rng, c in zip(streams, distinct.tolist())]
+
+        picks = pick_distinct(np.where(fits, view.ids[rows], n), n, rank)  # host ids are below n
+        return [None if p == n else p for p in picks.tolist()]
 
     def run_slot(self) -> SlotMetrics:
         state, config = self.state, self.config
@@ -353,8 +364,8 @@ class Simulation:
 
         self._process_departures()
 
-        if self.schedule is not None and slot < len(self.schedule.counts):
-            for _ in range(self.schedule.counts[slot]):
+        if slot < len(self.schedule):
+            for _ in range(self.schedule[slot]):
                 state.pending.append(self.trace[self._next_arrival])
                 self._next_arrival += 1
 

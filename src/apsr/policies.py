@@ -1,9 +1,11 @@
 """Placement policies behind a single interface: view + request -> host or decline.
 
 Seven full-snapshot heuristics (ff, wf, random, ffr, wfr, adaptive,
-distfromdiag) plus the sampling agent ("apsr") that works on a d-host sample.
-Policies are stateless; all randomness flows through the generator passed to
-``choose``, and the deterministic kinds never touch it.
+distfromdiag).  The sampling agent ("apsr") is configured here too, but it
+decides on a d-host sample, which the engine draws and resolves with the
+Monte-Carlo game's kernel (``ballsbins.pick_distinct``).  Policies are
+stateless; all randomness flows through the generator passed to ``choose``,
+and the deterministic kinds never touch it.
 """
 
 from __future__ import annotations
@@ -78,32 +80,20 @@ def _least(keys: np.ndarray, ids: np.ndarray) -> int:
 
 
 def choose(
-    policy: PolicyConfig,
-    view: HostView,
-    request: Request,
-    rng: np.random.Generator | None,
-    sample: np.ndarray | None = None,
+    policy: PolicyConfig, view: HostView, request: Request, rng: np.random.Generator | None
 ) -> int | None:
     """Pick a host for the request from the view, or None to decline.
 
-    Declines happen exactly when no host in the view (for the sampling agent:
-    in its sample) can take the request's demand.  A returned host is always
+    Serves the full-snapshot kinds; the engine decides for sampling agents
+    with ``ballsbins.pick_distinct``.  Declines happen exactly when no host in
+    the view can take the request's demand.  A returned host is always
     available for the request in the view.  ``rng`` may be None for the
-    ``DETERMINISTIC_KINDS``.  ``sample`` (sampling agent only) holds the rows of
-    the view it queried, repeats allowed.
+    ``DETERMINISTIC_KINDS``.
     """
+    if policy.kind not in FULL_SNAPSHOT_KINDS:
+        raise ConfigError(f"choose serves the full-snapshot kinds, not {policy.kind!r}")
     demand = request.flavor.demand
     mask = view.fit_mask(demand)
-
-    if policy.kind == "apsr":
-        if sample is None:
-            raise ConfigError("the sampling agent needs the rows it queried (sample=)")
-        ids = view.ids[sample[mask[sample]]]
-        if ids.size == 0:
-            return None
-        ids.sort()
-        candidates = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]  # first occurrences
-        return int(candidates[rng.integers(candidates.size)])
 
     if view.ids.size == 0:
         raise ConfigError("empty host view")
@@ -129,12 +119,9 @@ def choose(
         # rank by (load, id), then pick uniformly among the top lambda_rank
         candidates = ids[np.lexsort((ids, loads[mask]))][: policy.lambda_rank]
         return int(candidates[rng.integers(candidates.size)])
-    if policy.kind == "distfromdiag":
-        # usage fractions after a hypothetical placement; prefer the host whose
-        # usage stays closest to equal consumption across resources
-        capacity = view.capacity[mask]
-        usage = (capacity - (view.available[mask] - np.asarray(demand))) / capacity
-        centered = usage - usage.mean(axis=1, keepdims=True)
-        return _least(np.sqrt((centered * centered).sum(axis=1)), ids)
-
-    raise ConfigError(f"unknown policy kind {policy.kind!r}")
+    # distfromdiag: usage fractions after a hypothetical placement; prefer the
+    # host whose usage stays closest to equal consumption across resources
+    capacity = view.capacity[mask]
+    usage = (capacity - (view.available[mask] - np.asarray(demand))) / capacity
+    centered = usage - usage.mean(axis=1, keepdims=True)
+    return _least(np.sqrt((centered * centered).sum(axis=1)), ids)

@@ -241,17 +241,7 @@ class ArrivalProcess:
                 raise ConfigError("mmpp switch fraction must be in (0, 1)")
 
 
-@dataclass
-class ArrivalSchedule:
-    counts: list[int]
-    process: ArrivalProcess
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-
-def build_arrivals(process: ArrivalProcess, trace_length: int, seed) -> ArrivalSchedule:
+def build_arrivals(process: ArrivalProcess, trace_length: int, seed) -> list[int]:
     """Draw per-slot arrival counts until the trace is exhausted (last slot truncated)."""
     if trace_length < 1:
         raise ConfigError(f"trace_length must be >= 1, got {trace_length}")
@@ -265,7 +255,7 @@ def build_arrivals(process: ArrivalProcess, trace_length: int, seed) -> ArrivalS
         c = min(int(rng.poisson(rate)), trace_length - arrived)
         counts.append(c)
         arrived += c
-    return ArrivalSchedule(counts, process)
+    return counts
 
 
 @dataclass
@@ -293,10 +283,15 @@ def size_hosts(
     Each run shuffles the trace and places it sequentially with a single
     scheduler, opening a fresh host (shapes round-robin per the dataset
     proportions) whenever a request fits no open host.  The answer is the
-    minimum open-host count over all runs and policies.
+    minimum open-host count over all runs and policies.  A flavor that fits
+    no host shape is a ConfigError.
     """
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
+    shapes = [capacity for capacity, weight in spec.host_shapes if weight > 0]
+    for flavor in spec.flavors:
+        if not any(fits(flavor.demand, capacity) for capacity in shapes):
+            raise ConfigError(f"{spec.name}: flavor {flavor.id} fits no host shape")
     result = SizingResult(hosts=0)
     best: int | None = None
     for run in range(runs):

@@ -122,6 +122,26 @@ def replay_balls_and_bins(n: int, k: int, s: int, d: int, trials: int, seed, chu
     return ph_total, happy_total, happy_sq_total, counts
 
 
+def replay_sampling_decisions(seed: int, slot: int, pairs, available, d: int):
+    """The targets of one slot's sampling agents, by a plain loop per agent.
+
+    Agent i of ``pairs`` (scheduler index, request) owns the stream
+    ``default_rng((seed, 3, slot, i))``, 3 being the engine's scheduler
+    sub-stream tag.  It draws ``integers(0, n, d)`` hosts, keeps the sorted
+    distinct sampled hosts whose ``available`` row passes ``core.fits``, and
+    takes the one at ``integers(count)`` of the same stream, or declines
+    (None) without a second draw when none fits.
+    """
+    n = len(available)
+    targets = []
+    for i, request in pairs:
+        rng = np.random.default_rng((seed, 3, slot, i))
+        sample = rng.integers(0, n, size=d).tolist()
+        seen = sorted({h for h in sample if fits(request.flavor.demand, available[h])})
+        targets.append(seen[int(rng.integers(len(seen)))] if seen else None)
+    return targets
+
+
 def reference_choice(kind, ids, available, capacity, demand, adaptive_threshold=0.6):
     """The host a deterministic snapshot policy picks, by a plain loop.
 

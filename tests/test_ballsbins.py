@@ -11,7 +11,6 @@ from apsr import (
     SlaBudget,
     binom_pmf,
     expected_happy,
-    expected_happy_given_f,
     max_paral,
     satisfy_sla,
     sigma,
@@ -66,21 +65,6 @@ class TestBinomPmf:
             binom_pmf(8, 7, 0.5)
         with pytest.raises(ValueError):
             binom_pmf(1, 7, 1.5)
-
-
-class TestExpectedHappyGivenF:
-    def test_no_potentially_happy_agents(self):
-        assert expected_happy_given_f(5, 0) == 0.0
-
-    def test_single_bin_always_occupied(self):
-        assert expected_happy_given_f(1, 3) == 1.0
-
-    def test_two_agents_two_bins(self):
-        # 4 equiprobable assignments of 2 agents to 2 bins: E[occupied] = 1.5
-        assert expected_happy_given_f(2, 2) == pytest.approx(1.5, abs=1e-15)
-
-    def test_zero_bins(self):
-        assert expected_happy_given_f(0, 4) == 0.0
 
 
 class TestExpectedHappy:

@@ -156,6 +156,14 @@ class TestSizeHosts:
         assert run_cli("size-hosts", path, "--runs", 1) == 2
         assert capsys.readouterr().out == ""
 
+    def test_flavor_no_host_shape_fits_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "unfit.txt"
+        path.write_text("resources cpu mem\nhost 1 1 1\nflavor 2 0.5 1\n")
+        assert run_cli("size-hosts", path, "--runs", 1) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unfit: flavor 2x0.5 fits no host shape\n"
+
 
 class TestDatasets:
     def test_lists_embedded_tables(self, capsys):

@@ -105,7 +105,7 @@ class TestControllerTick:
         controller = ApsrController(100, SlaBudget(0.05, 100))
         counters = counters_from({"c1": (10, 5)})
         controller.tick(counters=counters)
-        assert counters.totals() == {}
+        assert counters.availability_ratios() == {}
 
     def test_budget_and_sla_compliance_over_random_ticks(self):
         rng = np.random.default_rng(17)

@@ -13,6 +13,7 @@ from apsr import (
     make_config,
     run_experiment,
 )
+from oracles import replay_sampling_decisions
 
 
 @pytest.fixture
@@ -98,7 +99,7 @@ class TestSlotMechanics:
         for request in sim.trace:
             sim.state.pending.append(request)
         sim._next_arrival = len(sim.trace)
-        sim.schedule = None
+        sim.schedule = []
         sm = sim.run_slot()
         assert (sm.attempts, sm.successes, sm.decline_collision) == (2, 1, 1)
 
@@ -200,6 +201,29 @@ class TestSnapshotCausality:
             sim.run_slot()
         forward, backward = self.forward_and_backward(sim, sim.controller.s)
         assert forward == backward
+
+
+class TestSamplingDecisions:
+    def test_decide_matches_plain_replay_of_each_agent_stream(self):
+        """Every apsr decision equals a per-agent replay of its own stream:
+        d-sample, sorted distinct fitting hosts, then integers(distinct)."""
+        sim = Simulation(small_nfv(hosts=20, seed=5))  # too few hosts: declines too
+        seen = []
+
+        def spy(view, slot, pairs):
+            pairs = list(pairs)
+            targets = Simulation.decide(sim, view, slot, pairs)
+            seen.append((view.available.tolist(), slot, pairs, sim.controller.d, targets))
+            return targets
+
+        sim.decide = spy
+        sim.run()
+        checked = [entry for entry in seen if entry[2]]
+        assert len(checked) >= 20
+        assert any(None in targets for *_, targets in checked)
+        assert any(len(pairs) >= 2 for _, _, pairs, _, _ in checked)
+        for available, slot, pairs, d, targets in checked:
+            assert targets == replay_sampling_decisions(5, slot, pairs, available, d)
 
 
 class TestRunShapes:

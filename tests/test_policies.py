@@ -10,8 +10,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from apsr import ConfigError, Flavor, HostView, PolicyConfig, Request, choose
-from apsr.ballsbins import sigma
+from apsr import (
+    ConfigError,
+    Flavor,
+    HostView,
+    PolicyConfig,
+    Request,
+    Simulation,
+    choose,
+    make_config,
+)
+from apsr.ballsbins import pick_distinct, sigma
 from apsr.policies import DETERMINISTIC_KINDS
 from oracles import reference_choice
 
@@ -170,58 +179,74 @@ class TestRandomizedPolicies:
         assert statistic < chi2.ppf(0.999, df=6)
 
 
+def pick(draws, sentinel, generator):
+    """Kernel picks with uniform ranks drawn from ``generator``."""
+    return pick_distinct(
+        draws, sentinel, lambda distinct: (generator.random(distinct.shape) * distinct).astype(int)
+    )
+
+
+def sampling_sim(d):
+    """A controller-managed run on 40 nfv hosts whose agents sample d hosts."""
+    sim = Simulation(make_config(dataset="nfv", replicas=1, hosts=40, seed=3))
+    sim.controller.d = d
+    return sim
+
+
 class TestSamplingAgent:
-    """The sampling agent decides on the rows of a full view it queried."""
+    """The sampling agent picks uniformly among the distinct fitting hosts its
+    d-sample saw: ``pick_distinct`` does the picking, ``Simulation.decide``
+    draws the samples and marks hosts that do not fit with the sentinel n."""
 
     def test_declines_on_all_full_sample(self):
-        available = np.full((6, 2), 100)
-        available[[3, 5]] = 0
-        sample = np.array([3, 5, 3])
-        view = make_view(available)
-        assert choose(PolicyConfig("apsr"), view, req(10, 10), rng(), sample=sample) is None
+        # hosts 3, 5, 3 sampled, all full
+        assert pick_distinct(np.array([[6, 6, 6]]), 6, np.zeros_like).tolist() == [6]
+        sim = sampling_sim(d=5)
+        full = HostView(np.arange(40), np.zeros_like(sim.state.capacity), sim.state.capacity)
+        pairs = list(enumerate(sim.trace[:6]))
+        assert sim.decide(full, 0, pairs) == [None] * 6
+        assert set(sim.counters.availability_ratios().values()) == {0.0}
 
     def test_duplicates_collapse_to_distinct(self):
-        view = make_view(np.full((4, 2), 100))
-        sample = np.array([2, 2, 2, 2])
-        generator = np.random.default_rng(8)
-        picks = {
-            choose(PolicyConfig("apsr"), view, req(10, 10), generator, sample=sample)
-            for _ in range(50)
-        }
-        assert picks == {2}
+        counts = []
+
+        def rank(distinct):
+            counts.append(distinct.tolist())
+            return np.zeros_like(distinct)
+
+        assert pick_distinct(np.full((50, 4), 2), 6, rank).tolist() == [2] * 50
+        assert counts == [[1] * 50]
 
     def test_picks_only_fitting_sampled_hosts(self):
-        available = np.full((6, 2), 100)
-        available[[1, 4]] = 0
-        view = make_view(available)
-        sample = np.array([1, 4, 2, 4, 0, 2])
-        generator = np.random.default_rng(5)
-        picks = {
-            choose(PolicyConfig("apsr"), view, req(10, 10), generator, sample=sample)
-            for _ in range(200)
-        }
-        assert picks == {0, 2}
-
-    def test_needs_its_sample(self):
-        with pytest.raises(ConfigError):
-            choose(PolicyConfig("apsr"), make_view([[100, 100]]), req(10, 10), rng())
+        # sample 1, 4, 2, 4, 0, 2 of six hosts with 1 and 4 full
+        draws = np.tile([6, 6, 2, 6, 0, 2], (200, 1))
+        assert set(pick(draws, 6, np.random.default_rng(5)).tolist()) == {0, 2}
+        sim = sampling_sim(d=8)
+        available = sim.state.capacity.copy()
+        available[::2] = 0  # even hosts full
+        view = HostView(np.arange(40), available, sim.state.capacity)
+        targets = sim.decide(view, 0, list(enumerate(sim.trace[:200])))
+        assert {t % 2 for t in targets if t is not None} == {1}
+        assert None in targets  # some samples held only even hosts
 
     def test_decline_rate_tracks_sigma(self):
-        """Over random samples of a cluster with k of n available hosts, the
-        agent's decline frequency matches 1 - sigma(n, k, d) within 3 SE."""
+        """With k of n hosts free, the agents' decline frequency in
+        ``Simulation.decide`` matches 1 - sigma(n, k, d) within 3 SE."""
         n, k, d, trials = 40, 12, 3, 30_000
-        available = np.zeros((n, 2), dtype=np.int64)
-        available[:k] = 100
-        view = make_view(available)
-        generator = np.random.default_rng(21)
-        declines = 0
-        for _ in range(trials):
-            sample = generator.integers(0, n, size=d)
-            if choose(PolicyConfig("apsr"), view, req(50, 50), generator, sample=sample) is None:
-                declines += 1
+        sim = sampling_sim(d)
+        available = sim.state.capacity.copy()
+        available[k:] = 0
+        view = HostView(np.arange(n), available, sim.state.capacity)
+        request = sim.trace[0]
+        targets = sim.decide(view, 0, [(i, request) for i in range(trials)])
         p_decline = 1.0 - sigma(n, k, d)
         se = np.sqrt(p_decline * (1 - p_decline) / trials)
-        assert abs(declines / trials - p_decline) <= 3 * se
+        assert abs(targets.count(None) / trials - p_decline) <= 3 * se
+        assert all(t < k for t in targets if t is not None)
+
+    def test_apsr_is_not_a_snapshot_policy(self):
+        with pytest.raises(ConfigError, match="full-snapshot"):
+            choose(PolicyConfig("apsr"), make_view([[100, 100]]), req(10, 10), rng())
 
 
 class TestInterfaceContracts:

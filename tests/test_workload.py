@@ -176,15 +176,15 @@ class TestBuildTrace:
 
 class TestBuildArrivals:
     def test_total_equals_trace_length(self):
-        schedule = build_arrivals(ArrivalProcess("poisson", 20.0), 13_110, seed=0)
-        assert schedule.total == 13_110
-        assert all(c >= 0 for c in schedule.counts)
-        assert len(schedule.counts) == pytest.approx(13_110 / 20, rel=0.15)
+        counts = build_arrivals(ArrivalProcess("poisson", 20.0), 13_110, seed=0)
+        assert sum(counts) == 13_110
+        assert all(c >= 0 for c in counts)
+        assert len(counts) == pytest.approx(13_110 / 20, rel=0.15)
 
     def test_empirical_mean_converges(self):
-        schedule = build_arrivals(ArrivalProcess("poisson", 20.0), 40_000, seed=1)
+        counts = build_arrivals(ArrivalProcess("poisson", 20.0), 40_000, seed=1)
         # drop the truncated last slot from the mean
-        counts = np.array(schedule.counts[:-1])
+        counts = np.array(counts[:-1])
         se = np.sqrt(20.0 / counts.size)
         assert abs(counts.mean() - 20.0) <= 3 * se
 
@@ -194,8 +194,7 @@ class TestBuildArrivals:
 
     def test_mmpp_switches_rate_after_fraction(self):
         process = ArrivalProcess("mmpp", 20.0, rate_low=5.0, switch_fraction=0.2)
-        schedule = build_arrivals(process, 10_000, seed=2)
-        counts = schedule.counts
+        counts = build_arrivals(process, 10_000, seed=2)
         cumulative = np.cumsum(counts)
         switch_slot = int(np.searchsorted(cumulative, 2000))
         head = np.array(counts[:switch_slot])
@@ -244,3 +243,9 @@ class TestSizeHosts:
     def test_runs_validated(self):
         with pytest.raises(ConfigError):
             size_hosts(load_dataset("nfv"), 1, ("ff",), runs=0, seed=0)
+
+    def test_flavor_no_host_shape_fits_is_config_error(self, tmp_path):
+        path = tmp_path / "unfit.txt"
+        path.write_text("resources cpu mem\nhost 1 1 1\nflavor 2 0.5 1\n")
+        with pytest.raises(ConfigError, match="flavor 2x0.5 fits no host shape"):
+            size_hosts(load_dataset(str(path)), 1, ("ff",), runs=1, seed=0)
