@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .ballsbins import (
     BallsBinsParams,
     SimulationResult,
-    SlaBudget,
     binom_pmf,
     expected_happy,
     max_paral,
@@ -79,7 +78,6 @@ __all__ = [
     "SimulationResult",
     "Simulation",
     "SizingResult",
-    "SlaBudget",
     "SlotMetrics",
     "binom_pmf",
     "build_arrivals",

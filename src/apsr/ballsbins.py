@@ -41,20 +41,6 @@ class BallsBinsParams:
             raise ValueError(f"samples per agent must be >= 0, got d={self.d}")
 
 
-@dataclass(frozen=True)
-class SlaBudget:
-    """Decline-ratio target plus the per-slot query budget shared by all agents."""
-
-    delta_hat: float
-    budget: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.delta_hat <= 1.0:
-            raise ValueError(f"delta_hat must be in [0, 1], got {self.delta_hat}")
-        if self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget}")
-
-
 def sigma(n: int, k: int, d: int) -> float:
     """Probability that one agent's d-sample hits at least one of k available bins."""
     if n < 1:

@@ -8,9 +8,9 @@ Subcommands
     datasets    list the embedded request-mix tables
 
 Config files are flat ``key = value`` text ('#' starts a comment).  Recognized
-keys: dataset, replicas, hosts, preset, policy, s, controller, delta_hat,
-budget, T, alpha, estimator, lambda_a, lambda_d, lifetime, seed, max_slots,
-arrival, mmpp_rate_low, mmpp_switch, lambda_rank, adaptive_threshold.
+keys: dataset, replicas, hosts, preset, policy, s, delta_hat, budget, T, alpha,
+estimator, lambda_a, lambda_d, seed, max_slots, arrival, mmpp_rate_low,
+mmpp_switch, lambda_rank, adaptive_threshold.
 
 Exit codes: 0 success, 2 usage or config error, 3 runtime error.  Results go
 to files or stdout; progress goes to stderr.
@@ -87,7 +87,6 @@ _KEY_ALIASES = {"s": "schedulers", "T": "period"}
 _INT_KEYS = {"replicas", "hosts", "schedulers", "period", "lambda_rank", "seed", "max_slots"}
 _FLOAT_KEYS = {"delta_hat", "alpha", "lambda_a", "lambda_d", "mmpp_rate_low",
                "mmpp_switch", "adaptive_threshold"}
-_BOOL_KEYS = {"controller"}
 
 
 def _parse_config_file(path: Path) -> tuple[str | None, dict]:
@@ -109,10 +108,6 @@ def _parse_config_file(path: Path) -> tuple[str | None, dict]:
                 overrides[key] = int(value)
             elif key in _FLOAT_KEYS:
                 overrides[key] = float(value)
-            elif key in _BOOL_KEYS:
-                if value.lower() not in ("true", "false"):
-                    raise ValueError(value)
-                overrides[key] = value.lower() == "true"
             elif key == "budget":
                 overrides[key] = value if value.endswith("%") else int(value)
             else:

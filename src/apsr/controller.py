@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .ballsbins import SlaBudget, max_paral
+from .ballsbins import max_paral
 from .core import AvailabilityCensus, ConfigError
 
 ESTIMATOR_MODES = ("min", "avg", "oracle")
@@ -74,19 +74,25 @@ class ApsrController:
 
     Starts from a fully available cluster (k = n) and a single scheduler that
     may spend the whole query budget.  Reconfiguration is atomic at slot
-    boundaries: all requests in a slot run under that slot's (s, d).
+    boundaries: all requests in a slot run under that slot's (s, d).  Sampling
+    schedulers record into ``counters``; each tick reads and resets them.
     """
 
     def __init__(
         self,
         n: int,
-        sla: SlaBudget,
+        delta_hat: float,
+        budget: int,
         period: int = 10,
         alpha: float = 0.1,
         estimator: str = "min",
     ):
         if n < 1:
             raise ConfigError(f"need at least one host, got n={n}")
+        if not 0.0 <= delta_hat <= 1.0:
+            raise ConfigError(f"delta_hat must be in [0, 1], got {delta_hat}")
+        if budget < 1:
+            raise ConfigError(f"budget must be >= 1, got {budget}")
         if period < 1:
             raise ConfigError(f"period must be >= 1, got {period}")
         if not 0.0 < alpha <= 1.0:
@@ -96,41 +102,36 @@ class ApsrController:
                 f"unknown estimator {estimator!r}; valid: {ESTIMATOR_MODES}"
             )
         self.n = n
-        self.sla = sla
+        self.delta_hat = delta_hat
+        self.budget = budget
         self.period = period
         self.alpha = alpha
         self.estimator = estimator
+        self.counters = FlavorCounters()
         self.k_estimate = float(n)
         self.s = 1
-        self.d = sla.budget
+        self.d = budget
         self._fleet_cache: dict[int, tuple[int, int]] = {}
 
     def due(self, slot: int) -> bool:
         return slot % self.period == 0
 
-    def tick(
-        self,
-        counters: FlavorCounters | None = None,
-        census: AvailabilityCensus | None = None,
-    ) -> tuple[int, int]:
+    def tick(self, census: AvailabilityCensus | None = None) -> tuple[int, int]:
         """Refresh k, reconfigure the fleet, and reset the counter window."""
         if self.estimator == "oracle":
             if census is None:
                 raise ConfigError("oracle estimator needs an availability census")
             self.k_estimate = float(census.min_available)
         else:
-            if counters is None:
-                raise ConfigError(f"estimator {self.estimator!r} needs flavor counters")
             self.k_estimate = estimate_k(
-                counters, self.k_estimate, self.alpha, self.n, self.estimator
+                self.counters, self.k_estimate, self.alpha, self.n, self.estimator
             )
-        if counters is not None:
-            counters.reset()
+        self.counters.reset()
 
         k = int(math.floor(self.k_estimate))  # conservative integer bin count
         fleet = self._fleet_cache.get(k)
         if fleet is None:
-            fleet = max_paral(self.n, self.sla.delta_hat, self.sla.budget, k)
+            fleet = max_paral(self.n, self.delta_hat, self.budget, k)
             self._fleet_cache[k] = fleet
         self.s, self.d = fleet
         return fleet

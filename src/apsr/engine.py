@@ -19,8 +19,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .ballsbins import SlaBudget, pick_distinct
-from .controller import ESTIMATOR_MODES, ApsrController, FlavorCounters
+from .ballsbins import pick_distinct
+from .controller import ESTIMATOR_MODES, ApsrController
 from .core import ClusterState, ConfigError, Request
 from .policies import DETERMINISTIC_KINDS, HostView, PolicyConfig, choose
 from .workload import (
@@ -43,9 +43,8 @@ class ExperimentConfig:
     dataset: str
     replicas: int = 1
     hosts: int | None = None  # None: the dataset's default fleet size
-    policy: str = "apsr"
-    schedulers: int | None = None  # fixed fleet size; None when controller-managed
-    controller: bool = True
+    policy: str = "apsr"  # "apsr" runs under the controller; the rest run fixed fleets
+    schedulers: int | None = None  # fixed fleet size; None for "apsr"
     delta_hat: float = 0.05
     budget: int | str | None = None  # None: one query per host; "60%" of hosts ok
     period: int = 10
@@ -55,8 +54,7 @@ class ExperimentConfig:
     arrival: str = "poisson"
     mmpp_rate_low: float = 5.0
     mmpp_switch: float = 0.2
-    lifetime: str = "infinite"  # "infinite" | "finite"
-    lambda_d: float | None = None
+    lambda_d: float | None = None  # mean departures per slot; None: requests never depart
     lambda_rank: int = 5
     adaptive_threshold: float = 0.6
     seed: int = 0
@@ -64,20 +62,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         PolicyConfig(self.policy, self.lambda_rank, self.adaptive_threshold)  # checks all three
-        if self.controller == (self.schedulers is not None):
-            raise ConfigError("set exactly one of: fixed schedulers, controller")
-        if self.controller != (self.policy == "apsr"):
-            raise ConfigError(
-                "the controller manages 'apsr' schedulers; fixed fleets run snapshot policies"
-            )
+        if (self.policy == "apsr") == (self.schedulers is not None):
+            raise ConfigError("policy 'apsr' takes no schedulers; every other policy needs them")
         if self.estimator not in ESTIMATOR_MODES:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
-        if self.lifetime not in ("infinite", "finite"):
-            raise ConfigError(f"lifetime must be 'infinite' or 'finite', got {self.lifetime!r}")
-        if (self.lifetime == "finite") != (self.lambda_d is not None):
-            raise ConfigError("finite lifetime requires lambda_d; infinite forbids it")
-        if self.arrival not in ("poisson", "mmpp"):
-            raise ConfigError(f"unknown arrival process {self.arrival!r}")
         if isinstance(self.budget, str):
             _parse_percent(self.budget)
         elif self.budget is not None and self.budget < 1:
@@ -97,12 +85,10 @@ class ExperimentConfig:
         ):
             if not ok:
                 raise ConfigError(f"{name} must be {bound}, got {getattr(self, name)!r}")
-        self.arrival_process()  # the process checks the mmpp switch point itself
+        self.arrival_process()  # the process checks its kind and the mmpp switch point
 
     def arrival_process(self) -> ArrivalProcess:
-        if self.arrival == "poisson":
-            return ArrivalProcess("poisson", self.lambda_a)
-        return ArrivalProcess("mmpp", self.lambda_a, self.mmpp_rate_low, self.mmpp_switch)
+        return ArrivalProcess(self.arrival, self.lambda_a, self.mmpp_rate_low, self.mmpp_switch)
 
     def resolve_budget(self, n: int) -> int:
         if self.budget is None:
@@ -131,7 +117,7 @@ PRESETS: dict[str, dict] = {
     "nfv": dict(dataset="nfv", replicas=30, hosts=837),
     "google": dict(dataset="google", replicas=1, hosts=5989),
     "amazon": dict(dataset="amazon", replicas=7, hosts=876),
-    # saturated cloud with rate-switching arrivals and finite request lifetimes
+    # saturated cloud with rate-switching arrivals and Poisson departures
     "nfv-mmpp": dict(
         dataset="nfv",
         replicas=100,
@@ -140,7 +126,6 @@ PRESETS: dict[str, dict] = {
         lambda_a=20.0,
         mmpp_rate_low=5.0,
         mmpp_switch=0.2,
-        lifetime="finite",
         lambda_d=4.0,
     ),
 }
@@ -159,9 +144,6 @@ def make_config(preset: str | None = None, **overrides) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     base.update(overrides)
-    # a fixed scheduler count implies no controller unless stated otherwise
-    if base.get("schedulers") is not None and "controller" not in overrides:
-        base["controller"] = False
     return ExperimentConfig(**base)
 
 
@@ -275,18 +257,10 @@ class Simulation:
             lambda_rank=config.lambda_rank,
             adaptive_threshold=config.adaptive_threshold,
         )
-        self.controller = (
-            ApsrController(
-                self.state.n,
-                SlaBudget(config.delta_hat, self.budget),
-                period=config.period,
-                alpha=config.alpha,
-                estimator=config.estimator,
-            )
-            if config.controller
-            else None
-        )
-        self.counters = FlavorCounters() if config.controller else None
+        self.controller = None
+        if config.policy == "apsr":
+            self.controller = ApsrController(self.state.n, config.delta_hat, self.budget,
+                                             config.period, config.alpha, config.estimator)
         self.metrics = RunMetrics()
 
         self._next_arrival = 0
@@ -350,7 +324,7 @@ class Simulation:
         rows = np.array([rng.integers(0, n, size=d) for rng in streams])
         fits = np.array([view.fit_mask(r.flavor.demand)[row] for row, (_, r) in zip(rows, pairs)])
         for (_, request), found in zip(pairs, fits.sum(axis=1).tolist()):
-            self.counters.record(request.flavor.id, d, found)
+            self.controller.counters.record(request.flavor.id, d, found)
 
         def rank(distinct):  # a second draw only for agents that saw a fitting host
             return [rng.integers(c) if c else 0 for rng, c in zip(streams, distinct.tolist())]
@@ -374,7 +348,7 @@ class Simulation:
             if self.controller.estimator == "oracle":
                 census = state.census(self.dataset.flavors)
                 self.metrics.controller_queries += state.n
-            self.controller.tick(counters=self.counters, census=census)
+            self.controller.tick(census)
 
         allowed = self.controller.s if self.controller else config.schedulers
         active = min(allowed, len(state.pending))

@@ -10,8 +10,11 @@ and the deterministic kinds never touch it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import reduce
+from itertools import repeat
 
 import numpy as np
 
@@ -79,6 +82,14 @@ def _least(keys: np.ndarray, ids: np.ndarray) -> int:
     return int(ids[keys == keys.min()].min())
 
 
+def _spread(row: list[int], demand: tuple[int, ...]) -> Fraction:
+    """distfromdiag's key squared, exactly: ``row`` is a host's capacity then availability,
+    and each usage fraction times ``scale``, the capacities' product, is an integer."""
+    dim, scale = len(demand), math.prod(row[: len(demand)])
+    used = [(c - a + w) * (scale // c) for c, a, w in zip(row, row[dim:], demand)]
+    return Fraction(sum((dim * u - sum(used)) ** 2 for u in used), (dim * scale) ** 2)
+
+
 def choose(
     policy: PolicyConfig, view: HostView, request: Request, rng: np.random.Generator | None
 ) -> int | None:
@@ -121,7 +132,15 @@ def choose(
         return int(candidates[rng.integers(candidates.size)])
     # distfromdiag: usage fractions after a hypothetical placement; prefer the
     # host whose usage stays closest to equal consumption across resources
-    capacity = view.capacity[mask]
-    usage = (capacity - (view.available[mask] - np.asarray(demand))) / capacity
+    capacity, available = view.capacity[mask], view.available[mask]
+    usage = (capacity - (available - np.asarray(demand))) / capacity
     centered = usage - usage.mean(axis=1, keepdims=True)
-    return _least(np.sqrt((centered * centered).sum(axis=1)), ids)
+    keys = np.sqrt((centered * centered).sum(axis=1))
+    near = np.flatnonzero(keys <= keys.min() + 1e-12)  # float near-ties, re-ranked exactly
+    rows, tied = np.hstack([capacity[near], available[near]]), ids[near]
+    if (rows == rows[0]).all():  # one host state, so one exact key
+        return int(tied.min())
+    order = np.lexsort((tied, *rows.T))  # equal rows adjacent, each run led by its least id
+    rows, tied = rows[order], tied[order]
+    first = np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]
+    return min(zip(map(_spread, rows[first].tolist(), repeat(demand)), tied[first].tolist()))[1]

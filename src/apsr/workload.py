@@ -94,7 +94,10 @@ def parse_dataset(text: str, name: str) -> DatasetSpec:
                     raise ConfigError("'resources' line must come first")
                 if len(args) != len(resource_names) + 1:
                     raise ConfigError("host line: capacity coordinates plus one weight")
-                host_shapes.append((_amounts(args[:-1]), int(args[-1])))
+                weight = int(args[-1])
+                if weight < 1:
+                    raise ConfigError(f"host weight must be >= 1, got {weight}")
+                host_shapes.append((_amounts(args[:-1]), weight))
             elif keyword == "class":
                 class_counts[args[0]] = int(args[1])
             elif keyword == "flavor":
@@ -288,9 +291,8 @@ def size_hosts(
     """
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
-    shapes = [capacity for capacity, weight in spec.host_shapes if weight > 0]
     for flavor in spec.flavors:
-        if not any(fits(flavor.demand, capacity) for capacity in shapes):
+        if not any(fits(flavor.demand, capacity) for capacity, _ in spec.host_shapes):
             raise ConfigError(f"{spec.name}: flavor {flavor.id} fits no host shape")
     result = SizingResult(hosts=0)
     best: int | None = None

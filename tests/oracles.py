@@ -148,8 +148,9 @@ def reference_choice(kind, ids, available, capacity, demand, adaptive_threshold=
     Returns the least (key, id) among hosts that pass ``core.fits``, or None
     when none does.  Keys: ff 0; wf the host load (the worst per-resource
     used fraction); adaptive the wf key while the mean load over all hosts is
-    below the threshold, else the ff key; distfromdiag the distance of the
-    post-placement usage fractions from their mean.
+    below the threshold, else the ff key; distfromdiag the squared distance of
+    the post-placement usage fractions from their mean, as an exact fraction,
+    so exactly tied hosts fall to the least id.
     """
     loads = [max((c - a) / c for c, a in zip(cap, avail)) for cap, avail in zip(capacity, available)]
     if kind == "adaptive":
@@ -163,9 +164,9 @@ def reference_choice(kind, ids, available, capacity, demand, adaptive_threshold=
         elif kind == "wf":
             key = load
         else:
-            usage = [(c - (a - w)) / c for c, a, w in zip(cap, avail, demand)]
+            usage = [Fraction(c - (a - w), c) for c, a, w in zip(cap, avail, demand)]
             mean = sum(usage) / len(usage)
-            key = math.sqrt(sum((u - mean) * (u - mean) for u in usage))
+            key = sum((u - mean) * (u - mean) for u in usage)
         if best is None or (key, host) < best:
             best = (key, host)
     return None if best is None else best[1]

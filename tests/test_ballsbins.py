@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from apsr import (
+    ApsrController,
     BallsBinsParams,
-    SlaBudget,
+    ConfigError,
     binom_pmf,
     expected_happy,
     max_paral,
@@ -176,8 +177,9 @@ class TestParamTypes:
             BallsBinsParams(5, 2, 1, -1)
 
     def test_sla_budget_validation(self):
-        with pytest.raises(ValueError):
-            SlaBudget(1.2, 10)
-        with pytest.raises(ValueError):
-            SlaBudget(0.05, 0)
-        assert SlaBudget(0.05, 100).budget == 100
+        # The SLA budget (delta_hat, budget) is checked where it is used: by the controller.
+        with pytest.raises(ConfigError):
+            ApsrController(10, 1.2, 10)
+        with pytest.raises(ConfigError):
+            ApsrController(10, 0.05, 0)
+        assert ApsrController(10, 0.05, 100).budget == 100

@@ -109,10 +109,15 @@ class TestSimulate:
     def test_out_of_range_value_rejected_before_any_output(self, tmp_path, capsys):
         table = tmp_path / "table.txt"  # a user table has no default fleet
         table.write_text("resources cpu mem\nhost 1 1 1\nflavor 0.5 0.5 2\n")
+        weightless = tmp_path / "weightless.txt"
+        weightless.write_text("resources cpu mem\nhost 1 1 0\nflavor 0.5 0.5 2\n")
         for name, text in [
             ("range", "preset = nfv\ndelta_hat = 2\n"),
             ("dataset", "dataset = azure\npolicy = ff\ns = 1\n"),
             ("fleet", f"dataset = {table}\npolicy = ff\ns = 1\n"),
+            ("controller", "preset = nfv\ncontroller = true\n"),
+            ("lifetime", "preset = nfv-mmpp\nlifetime = finite\n"),
+            ("weight", f"dataset = {weightless}\nhosts = 3\npolicy = ff\ns = 1\n"),
         ]:
             path = tmp_path / f"{name}.cfg"
             path.write_text(text)

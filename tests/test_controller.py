@@ -12,7 +12,6 @@ from apsr import (
     ConfigError,
     Flavor,
     FlavorCounters,
-    SlaBudget,
     estimate_k,
     max_paral,
     satisfy_sla,
@@ -80,79 +79,79 @@ class TestEstimateK:
 class TestControllerTick:
     def test_oracle_empty_cloud_maximizes_fleet(self):
         n = 120
-        controller = ApsrController(n, SlaBudget(0.05, n), period=1, estimator="oracle")
+        controller = ApsrController(n, 0.05, n, period=1, estimator="oracle")
         state = ClusterState([(10, 10)] * n)
         census = state.census([Flavor("a", (3, 3))])
         s, d = controller.tick(census=census)
         assert (s, d) == scan_max_paral(n, 0.05, n, n)
 
     def test_oracle_zero_availability_single_scheduler(self):
-        controller = ApsrController(50, SlaBudget(0.05, 50), estimator="oracle")
+        controller = ApsrController(50, 0.05, 50, estimator="oracle")
         s, d = controller.tick(census=AvailabilityCensus({"a": 0}))
         assert (s, d) == (1, 50)
         assert controller.k_estimate == 0.0
 
     def test_min_mode_decays_geometrically_on_zero_observations(self):
-        controller = ApsrController(100, SlaBudget(0.05, 100), alpha=0.1, estimator="min")
+        controller = ApsrController(100, 0.05, 100, alpha=0.1, estimator="min")
         previous = controller.k_estimate
         for _ in range(4):
-            counters = counters_from({"c1": (30, 0)})
-            controller.tick(counters=counters)
+            controller.counters.record("c1", 30, 0)
+            controller.tick()
             assert controller.k_estimate == pytest.approx(0.9 * previous, rel=1e-12)
             previous = controller.k_estimate
 
     def test_counters_are_reset_by_tick(self):
-        controller = ApsrController(100, SlaBudget(0.05, 100))
-        counters = counters_from({"c1": (10, 5)})
-        controller.tick(counters=counters)
-        assert counters.availability_ratios() == {}
+        controller = ApsrController(100, 0.05, 100)
+        controller.counters.record("c1", 10, 5)
+        controller.tick()
+        assert controller.counters.availability_ratios() == {}
 
     def test_budget_and_sla_compliance_over_random_ticks(self):
         rng = np.random.default_rng(17)
         n = 200
-        sla = SlaBudget(0.05, n)
-        controller = ApsrController(n, sla, alpha=0.3, estimator="min")
+        controller = ApsrController(n, 0.05, n, alpha=0.3, estimator="min")
         for _ in range(40):
             queried = int(rng.integers(1, 400))
-            counters = counters_from({"c": (queried, int(rng.integers(0, queried + 1)))})
-            s, d = controller.tick(counters=counters)
-            assert s * d <= sla.budget
+            controller.counters.record("c", queried, int(rng.integers(0, queried + 1)))
+            s, d = controller.tick()
+            assert s * d <= n
             assert 0.0 <= controller.k_estimate <= n
             if s > 1:
                 k_used = int(math.floor(controller.k_estimate))
-                assert satisfy_sla(n, sla.delta_hat, k_used, s, d)
+                assert satisfy_sla(n, 0.05, k_used, s, d)
 
     def test_initial_configuration_is_single_scheduler_full_budget(self):
-        controller = ApsrController(300, SlaBudget(0.05, 300))
+        controller = ApsrController(300, 0.05, 300)
         assert (controller.s, controller.d) == (1, 300)
         assert controller.k_estimate == 300.0
 
     def test_due_on_period_boundaries(self):
-        controller = ApsrController(10, SlaBudget(0.05, 10), period=10)
+        controller = ApsrController(10, 0.05, 10, period=10)
         assert controller.due(0) and controller.due(20)
         assert not controller.due(5)
 
     def test_fleet_cache_matches_fresh_computation(self):
         n = 150
-        controller = ApsrController(n, SlaBudget(0.05, n), estimator="oracle")
+        controller = ApsrController(n, 0.05, n, estimator="oracle")
         for k in (150, 80, 80, 20, 150):
             s, d = controller.tick(census=AvailabilityCensus({"a": k}))
             assert (s, d) == max_paral(n, 0.05, n, k)
 
     def test_estimator_mode_input_contracts(self):
-        controller = ApsrController(10, SlaBudget(0.05, 10), estimator="oracle")
+        controller = ApsrController(10, 0.05, 10, estimator="oracle")
         with pytest.raises(ConfigError):
-            controller.tick(counters=FlavorCounters())
-        controller = ApsrController(10, SlaBudget(0.05, 10), estimator="min")
-        with pytest.raises(ConfigError):
-            controller.tick(census=AvailabilityCensus({"a": 5}))
+            controller.tick()
+        controller = ApsrController(10, 0.05, 10, estimator="min")
+        controller.counters.record("c", 10, 5)
+        controller.tick()  # counter estimators read the counters and need no census
+        assert controller.k_estimate == pytest.approx(0.1 * 5 + 0.9 * 10)
 
     def test_constructor_validation(self):
         with pytest.raises(ConfigError):
-            ApsrController(0, SlaBudget(0.05, 10))
+            ApsrController(0, 0.05, 10)
         with pytest.raises(ConfigError):
-            ApsrController(10, SlaBudget(0.05, 10), period=0)
+            ApsrController(10, 0.05, 10, period=0)
         with pytest.raises(ConfigError):
-            ApsrController(10, SlaBudget(0.05, 10), alpha=1.5)
+            ApsrController(10, 0.05, 10, alpha=1.5)
         with pytest.raises(ConfigError):
-            ApsrController(10, SlaBudget(0.05, 10), estimator="exact")
+            ApsrController(10, 0.05, 10, estimator="exact")

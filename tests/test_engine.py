@@ -35,22 +35,19 @@ def small_nfv(**overrides) -> ExperimentConfig:
 
 class TestConfigValidation:
     def test_exactly_one_of_fixed_or_controller(self):
-        with pytest.raises(ConfigError):
-            make_config(dataset="nfv", schedulers=5, controller=True)
-        with pytest.raises(ConfigError):
-            ExperimentConfig(dataset="nfv", schedulers=None, controller=False)
+        """The policy alone decides: 'apsr' is controller-managed, the rest fixed."""
+        assert Simulation(small_nfv()).controller is not None
+        assert Simulation(small_nfv(policy="ff", schedulers=5)).controller is None
+        with pytest.raises(ConfigError, match="schedulers"):
+            make_config(dataset="nfv", policy="random")
+        with pytest.raises(ConfigError, match="schedulers"):
+            ExperimentConfig(dataset="nfv", policy="ff", schedulers=None)
 
     def test_apsr_policy_requires_controller(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="schedulers"):
             make_config(dataset="nfv", policy="apsr", schedulers=4)
-        with pytest.raises(ConfigError):
-            make_config(dataset="nfv", policy="random", controller=True)
-
-    def test_finite_lifetime_requires_departure_rate(self):
-        with pytest.raises(ConfigError):
-            make_config(dataset="nfv", lifetime="finite")
-        with pytest.raises(ConfigError):
-            make_config(dataset="nfv", lambda_d=4.0)
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            make_config(dataset="nfv", policy="random", schedulers=4, controller=True)
 
     def test_budget_forms(self):
         assert make_config(dataset="nfv", budget="50%", hosts=100).resolve_budget(100) == 50
@@ -65,6 +62,7 @@ class TestConfigValidation:
         ("delta_hat", 2.0), ("delta_hat", -0.1), ("alpha", 0.0), ("alpha", 1.5),
         ("period", 0), ("lambda_a", 0.0), ("mmpp_rate_low", -1.0), ("mmpp_switch", 1.2),
         ("lambda_rank", 0), ("adaptive_threshold", 1.5), ("delta_hat", float("nan")),
+        ("lambda_d", 0.0),
     ])
     def test_out_of_range_numbers_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -144,7 +142,6 @@ class TestSlotMechanics:
             hosts=4,
             policy="random",
             schedulers=2,
-            lifetime="finite",
             lambda_d=3.0,
             lambda_a=2.0,
             seed=1,
@@ -181,8 +178,8 @@ class TestSnapshotCausality:
             return sim.decide(view, sim.state.slot, order)
 
         forward = decide(pairs)
-        if sim.counters is not None:
-            sim.counters.reset()
+        if sim.controller is not None:
+            sim.controller.counters.reset()
         return forward, decide(pairs[::-1])[::-1]
 
     def test_decisions_invariant_to_evaluation_order(self):
@@ -247,7 +244,7 @@ class TestRunShapes:
     def test_preset_fields_survive_overrides(self):
         config = make_config("nfv", policy="ff", schedulers=3)
         assert (config.dataset, config.replicas, config.hosts) == ("nfv", 30, 837)
-        assert config.controller is False
+        assert (config.policy, config.schedulers) == ("ff", 3)
 
     def test_metrics_dict_round_trip_fields(self):
         metrics = run_experiment(small_nfv(policy="ff", schedulers=2))

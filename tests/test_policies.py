@@ -85,6 +85,11 @@ class TestDeterministicPolicies:
         view = make_view([[40, 100], [60, 80]], capacity=[[100, 100], [100, 100]])
         assert choose(PolicyConfig("distfromdiag"), view, req(20, 40), rng()) == 1
 
+    def test_distfromdiag_exact_tie_breaks_to_lowest_id(self):
+        # both keys are exactly 0.011 * sqrt(2), but host 1's float key is 1 ulp lower
+        view = make_view([[760, 760], [1000, 1000]], capacity=[[1000, 1000], [1000, 1000]])
+        assert choose(PolicyConfig("distfromdiag"), view, req(32, 10), None) == 0
+
     def test_load_aware_kinds_reject_zero_capacity(self):
         view = make_view([[100, 0], [100, 100]], capacity=[[100, 0], [100, 100]])
         for kind in ("wf", "wfr", "adaptive", "distfromdiag"):
@@ -205,7 +210,7 @@ class TestSamplingAgent:
         full = HostView(np.arange(40), np.zeros_like(sim.state.capacity), sim.state.capacity)
         pairs = list(enumerate(sim.trace[:6]))
         assert sim.decide(full, 0, pairs) == [None] * 6
-        assert set(sim.counters.availability_ratios().values()) == {0.0}
+        assert set(sim.controller.counters.availability_ratios().values()) == {0.0}
 
     def test_duplicates_collapse_to_distinct(self):
         counts = []

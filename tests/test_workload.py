@@ -115,6 +115,12 @@ class TestIntegerUnits:
         with pytest.raises(ConfigError):
             parse_dataset(text, "bad")
 
+    @pytest.mark.parametrize("weight", ["0", "-1"])
+    def test_host_weight_below_one_rejected(self, weight):
+        text = f"resources cpu mem\nhost 1 1 {weight}\nflavor 0.5 0.5 1\n"
+        with pytest.raises(ConfigError, match=f"^t:2: host weight must be >= 1, got {weight}$"):
+            parse_dataset(text, "t")
+
     def test_nine_decimal_places_and_int64_edge_accepted(self):
         spec = parse_dataset(
             "resources a\nhost 9223372036.854775807 1\nflavor 0.000000001 1\n", "t"
