@@ -323,8 +323,9 @@ class Simulation:
         n, d = self.state.n, self.controller.d
         rows = np.array([rng.integers(0, n, size=d) for rng in streams])
         fits = np.array([view.fit_mask(r.flavor.demand)[row] for row, (_, r) in zip(rows, pairs)])
-        for (_, request), found in zip(pairs, fits.sum(axis=1).tolist()):
-            self.controller.counters.record(request.flavor.id, d, found)
+        if self.controller.estimator != "oracle":  # an oracle tick reads the census alone
+            for (_, request), found in zip(pairs, fits.sum(axis=1).tolist()):
+                self.controller.counters.record(request.flavor.id, d, found)
 
         def rank(distinct):  # a second draw only for agents that saw a fitting host
             return [rng.integers(c) if c else 0 for rng, c in zip(streams, distinct.tolist())]

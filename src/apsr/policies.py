@@ -1,7 +1,9 @@
 """Placement policies behind a single interface: view + request -> host or decline.
 
 Seven full-snapshot heuristics (ff, wf, random, ffr, wfr, adaptive,
-distfromdiag).  The sampling agent ("apsr") is configured here too, but it
+distfromdiag).  The deterministic kinds pick the least (key, id);
+distfromdiag ranks hosts by one exact integer key, so exactly tied hosts go
+to the least id.  The sampling agent ("apsr") is configured here too, but it
 decides on a d-host sample, which the engine draws and resolves with the
 Monte-Carlo game's kernel (``ballsbins.pick_distinct``).  Policies are
 stateless; all randomness flows through the generator passed to ``choose``,
@@ -12,13 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce
-from itertools import repeat
 
 import numpy as np
 
-from .core import ConfigError, Request
+from .core import MAX_UNITS, ConfigError, Request
 
 FULL_SNAPSHOT_KINDS = ("ff", "wf", "random", "ffr", "wfr", "adaptive", "distfromdiag")
 POLICY_KINDS = FULL_SNAPSHOT_KINDS + ("apsr",)
@@ -49,15 +49,16 @@ class HostView:
     """What a scheduler sees: every host id once, with its availability and
     capacity rows in integer resource units.
 
-    A view is treated as read-only: host loads and the fit mask of each demand
-    vector are computed on first use and cached, so all decisions of a slot
-    share one view of the slot-start snapshot.
+    A view is treated as read-only: host loads, the capacity scale and the fit
+    mask of each demand vector are computed on first use and cached, so all
+    decisions of a slot share one view of the slot-start snapshot.
     """
 
     ids: np.ndarray
     available: np.ndarray
     capacity: np.ndarray
     _loads: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _scale: int | None = field(default=None, init=False, repr=False, compare=False)
     _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def loads(self) -> np.ndarray:
@@ -68,6 +69,12 @@ class HostView:
             columns = zip(self.capacity.T, self.available.T)
             self._loads = reduce(np.maximum, [(c - a) / c for c, a in columns])
         return self._loads
+
+    def scale(self) -> int:
+        """The lcm of the capacity values, so each used fraction times it is an integer."""
+        if self._scale is None:
+            self._scale = math.lcm(*np.unique(self.capacity).tolist())
+        return self._scale
 
     def fit_mask(self, demand: tuple[int, ...]) -> np.ndarray:
         """Rows whose availability takes ``demand`` in every coordinate."""
@@ -80,14 +87,6 @@ class HostView:
 def _least(keys: np.ndarray, ids: np.ndarray) -> int:
     """The id a (key, id) sort ranks first: the least id among the least keys."""
     return int(ids[keys == keys.min()].min())
-
-
-def _spread(row: list[int], demand: tuple[int, ...]) -> Fraction:
-    """distfromdiag's key squared, exactly: ``row`` is a host's capacity then availability,
-    and each usage fraction times ``scale``, the capacities' product, is an integer."""
-    dim, scale = len(demand), math.prod(row[: len(demand)])
-    used = [(c - a + w) * (scale // c) for c, a, w in zip(row, row[dim:], demand)]
-    return Fraction(sum((dim * u - sum(used)) ** 2 for u in used), (dim * scale) ** 2)
 
 
 def choose(
@@ -112,35 +111,30 @@ def choose(
         return None
 
     ids = view.ids[mask]
-    if policy.kind == "ff":
+    kind = policy.kind
+    if kind == "adaptive":  # view.loads() also rejects zero-capacity coordinates
+        kind = "wf" if float(view.loads().mean()) < policy.adaptive_threshold else "ff"
+    if kind == "ff":
         return int(ids.min())
-    if policy.kind == "random":
+    if kind == "random":
         return int(ids[rng.integers(ids.size)])
-    if policy.kind == "ffr":
+    if kind == "ffr":
         candidates = np.sort(ids)[: policy.lambda_rank]
         return int(candidates[rng.integers(candidates.size)])
 
     loads = view.loads()  # rejects zero-capacity coordinates for every kind below
-    if policy.kind == "adaptive":
-        regime = "wf" if float(loads.mean()) < policy.adaptive_threshold else "ff"
-        return choose(PolicyConfig(regime), view, request, rng)
-    if policy.kind == "wf":
+    if kind == "wf":
         return _least(loads[mask], ids)
-    if policy.kind == "wfr":
+    if kind == "wfr":
         # rank by (load, id), then pick uniformly among the top lambda_rank
         candidates = ids[np.lexsort((ids, loads[mask]))][: policy.lambda_rank]
         return int(candidates[rng.integers(candidates.size)])
-    # distfromdiag: usage fractions after a hypothetical placement; prefer the
-    # host whose usage stays closest to equal consumption across resources
-    capacity, available = view.capacity[mask], view.available[mask]
-    usage = (capacity - (available - np.asarray(demand))) / capacity
-    centered = usage - usage.mean(axis=1, keepdims=True)
-    keys = np.sqrt((centered * centered).sum(axis=1))
-    near = np.flatnonzero(keys <= keys.min() + 1e-12)  # float near-ties, re-ranked exactly
-    rows, tied = np.hstack([capacity[near], available[near]]), ids[near]
-    if (rows == rows[0]).all():  # one host state, so one exact key
-        return int(tied.min())
-    order = np.lexsort((tied, *rows.T))  # equal rows adjacent, each run led by its least id
-    rows, tied = rows[order], tied[order]
-    first = np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]
-    return min(zip(map(_spread, rows[first].tolist(), repeat(demand)), tied[first].tolist()))[1]
+    # distfromdiag: prefer the host whose usage fractions after a hypothetical
+    # placement stay closest to the diagonal (equal use of every resource).
+    # With U = usage * scale, an integer, the key dim*sum(U^2) - sum(U)^2 is
+    # (dim * scale * distance)^2, so it ranks hosts exactly.  U <= scale bounds
+    # both terms by (dim * scale)^2; past int64 they are Python ints.
+    dim, scale = len(demand), view.scale()
+    capacity = view.capacity[mask].astype(np.int64 if (dim * scale) ** 2 <= MAX_UNITS else object)
+    used = (capacity - view.available[mask] + demand) * (scale // capacity)
+    return _least(dim * (used * used).sum(axis=1) - used.sum(axis=1) ** 2, ids)

@@ -129,6 +129,13 @@ class TestSlotMechanics:
         metrics = run_experiment(config)
         assert metrics.controller_queries == metrics.slots * 40
 
+    def test_oracle_runs_record_no_counters(self):
+        """An oracle tick reads the census alone, so its agents leave the counters empty."""
+        sim = Simulation(small_nfv(estimator="oracle", period=1, seed=5))
+        attempts = sum(sim.run_slot().attempts for _ in range(5))
+        assert attempts > 0
+        assert sim.controller.counters.availability_ratios() == {}
+
     def test_truncation_flag(self):
         metrics = run_experiment(small_nfv(policy="ff", schedulers=1, max_slots=5))
         assert metrics.truncated

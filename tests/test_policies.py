@@ -21,6 +21,7 @@ from apsr import (
     make_config,
 )
 from apsr.ballsbins import pick_distinct, sigma
+from apsr.core import MAX_UNITS
 from apsr.policies import DETERMINISTIC_KINDS
 from oracles import reference_choice
 
@@ -90,6 +91,17 @@ class TestDeterministicPolicies:
         view = make_view([[760, 760], [1000, 1000]], capacity=[[1000, 1000], [1000, 1000]])
         assert choose(PolicyConfig("distfromdiag"), view, req(32, 10), None) == 0
 
+    def test_distfromdiag_keys_past_int64_stay_exact(self):
+        # coprime capacities near 1e9: (dim * lcm)^2 passes int64, so the keys are Python ints
+        shapes = [(999999937, 999999929), (999999929, 999999937)] * 3
+        available = [(999999937, 999999929), (999999929, 999999937), (500000000, 500000000),
+                     (499999999, 499999999), (123456789, 987654321), (987654321, 123456789)]
+        view = HostView(np.arange(6), np.array(available), np.array(shapes))
+        assert (2 * view.scale()) ** 2 > MAX_UNITS
+        for demand in [(1, 1), (7, 3), (100000000, 99999999), (123456789, 123456789)]:
+            expected = reference_choice("distfromdiag", range(6), available, shapes, demand)
+            assert choose(PolicyConfig("distfromdiag"), view, req(*demand), None) == expected
+
     def test_load_aware_kinds_reject_zero_capacity(self):
         view = make_view([[100, 0], [100, 100]], capacity=[[100, 0], [100, 100]])
         for kind in ("wf", "wfr", "adaptive", "distfromdiag"):
@@ -107,22 +119,24 @@ class TestDeterministicPolicies:
 
 # Power-of-two capacities make every used fraction a short binary fraction,
 # so every sum is exact and numpy and the plain loop agree bit for bit
-# whatever order they add in.
+# whatever order they add in; adaptive's float mean load needs that.  Mixed
+# capacities exercise distfromdiag's scaling across host shapes.
 UNITS = st.integers(0, 16)
-CAPACITY = st.sampled_from((8, 16, 32))
+POWERS_OF_TWO = st.sampled_from((8, 16, 32))
+MIXED = st.sampled_from((3, 10, 12, 1000))
 
 
 @st.composite
-def snapshot_views(draw):
+def snapshot_views(draw, capacities):
     """(ids, capacity, available, demand, threshold) of a small full view with
     distinct, unsorted ids; half of them are fresh clusters of identical hosts."""
     n = draw(st.integers(1, 7))
     ids = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True))
     if draw(st.booleans()):
-        shape = draw(st.tuples(CAPACITY, CAPACITY))
+        shape = draw(st.tuples(capacities, capacities))
         capacity = available = [shape] * n
     else:
-        capacity = draw(st.lists(st.tuples(CAPACITY, CAPACITY), min_size=n, max_size=n))
+        capacity = draw(st.lists(st.tuples(capacities, capacities), min_size=n, max_size=n))
         available = [tuple(draw(st.integers(0, c)) for c in cap) for cap in capacity]
     demand = draw(st.tuples(UNITS, UNITS).filter(any))
     threshold = draw(st.integers(0, 8)) / 8
@@ -130,15 +144,23 @@ def snapshot_views(draw):
 
 
 class TestAgainstPlainLoop:
-    @given(snapshot_views())
-    def test_deterministic_kinds_pick_least_key_then_id(self, case):
+    @staticmethod
+    def check(case, kinds):
         ids, capacity, available, demand, threshold = case
         view = HostView(np.array(ids), np.array(available), np.array(capacity))
         request = Request(0, Flavor("f", demand))
-        for kind in DETERMINISTIC_KINDS:
+        for kind in kinds:
             policy = PolicyConfig(kind, adaptive_threshold=threshold)
             expected = reference_choice(kind, ids, available, capacity, demand, threshold)
             assert choose(policy, view, request, None) == expected, kind
+
+    @given(snapshot_views(POWERS_OF_TWO))
+    def test_deterministic_kinds_pick_least_key_then_id(self, case):
+        self.check(case, DETERMINISTIC_KINDS)
+
+    @given(snapshot_views(MIXED))
+    def test_mixed_capacities_pick_least_key_then_id(self, case):
+        self.check(case, ("ff", "wf", "distfromdiag"))
 
 
 class TestRandomizedPolicies:

@@ -4,9 +4,11 @@
     python tools/same_outputs.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories holding the `apsr` package (a checkout's
-`src/`).  For the presets nfv, google, amazon and nfv-mmpp, and for nfv with
-the oracle estimator at T=1, each tree runs `apsr simulate --seeds 0,1,2` in
-its own Python subprocess.  Prints "identical" when every `manifest.json` and
+`src/`).  Each tree runs `apsr simulate --seeds 0,1,2` in its own Python
+subprocess for: the presets nfv, google, amazon and nfv-mmpp; nfv with the
+oracle estimator at T=1; nfv with a fixed fleet of s=10 under each of the
+seven snapshot policies; and amazon (two host shapes) with s=10 under
+distfromdiag.  Prints "identical" when every `manifest.json` and
 `run_<seed>.csv` matches byte for byte and exits 0; otherwise prints the first
 differing file and exits 1.  Exit 2 means a tree could not run.  This is the
 check for changes that mean to keep how randomness is drawn.
@@ -27,6 +29,11 @@ CONFIGS = {
     "amazon": "amazon",
     "nfv-mmpp": "nfv-mmpp",
     "nfv-oracle-t1": "preset = nfv\nestimator = oracle\nT = 1\n",
+    **{
+        f"nfv-{kind}-s10": f"preset = nfv\npolicy = {kind}\ns = 10\n"
+        for kind in ("ff", "wf", "random", "ffr", "wfr", "adaptive", "distfromdiag")
+    },
+    "amazon-distfromdiag-s10": "preset = amazon\npolicy = distfromdiag\ns = 10\n",
 }
 
 
