@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .ballsbins import (
     BallsBinsParams,
     SimulationResult,
-    binom_pmf,
     expected_happy,
     max_paral,
     satisfy_sla,
@@ -79,7 +78,6 @@ __all__ = [
     "Simulation",
     "SizingResult",
     "SlotMetrics",
-    "binom_pmf",
     "build_arrivals",
     "build_trace",
     "choose",

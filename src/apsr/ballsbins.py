@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 
 @dataclass(frozen=True)
@@ -52,43 +51,16 @@ def sigma(n: int, k: int, d: int) -> float:
     return 1.0 - ((n - k) / n) ** d
 
 
-def binom_pmf(f, s: int, p: float):
-    """Binomial pmf C(s, f) p^f (1-p)^(s-f), evaluated in log space.
-
-    Uses log-gamma so it stays stable well past s = 10**4.  ``f`` may be a
-    scalar or an array; ``xlogy`` takes care of the p = 0 and p = 1 edges.
-    """
-    if s < 0:
-        raise ValueError(f"trial count must be >= 0, got s={s}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"success probability must be in [0, 1], got {p}")
-    f_arr = np.asarray(f, dtype=float)
-    if np.any(f_arr < 0) or np.any(f_arr > s):
-        raise ValueError(f"success count f={f} outside [0, {s}]")
-    log_pmf = (
-        gammaln(s + 1.0)
-        - gammaln(f_arr + 1.0)
-        - gammaln(s - f_arr + 1.0)
-        + xlogy(f_arr, p)
-        + xlogy(s - f_arr, 1.0 - p)
-    )
-    pmf = np.exp(log_pmf)
-    return float(pmf) if np.isscalar(f) else pmf
-
-
 def expected_happy(params: BallsBinsParams) -> float:
     """Expected number of happy agents for one play of the game.
 
-    Conditions on the number of potentially happy agents f, which is binomial
-    with success probability sigma(n, k, d).
+    Given f potentially happy agents, k (1 - x^f) bins win on average, x = (k-1)/k.
+    f ~ Bin(s, sigma) has E[x^f] = (1 - sigma + sigma x)^s, so E = k (1 - (1 - sigma/k)^s).
     """
     n, k, s, d = params.n, params.k, params.s, params.d
     if k == 0 or d == 0:
         return 0.0
-    sig = sigma(n, k, d)
-    f = np.arange(1, s + 1, dtype=float)
-    conditional = k * (1.0 - ((k - 1) / k) ** f)
-    return float(binom_pmf(f, s, sig) @ conditional)
+    return k * (1.0 - (1.0 - sigma(n, k, d) / k) ** s)
 
 
 def satisfy_sla(n: int, delta_hat: float, k: int, s: int, d: int) -> bool:

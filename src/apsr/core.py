@@ -149,16 +149,17 @@ class ClusterState:
         return placement.host_id
 
     def census(self, flavors: Iterable[Flavor]) -> AvailabilityCensus:
-        """Exact per-flavor available-host counts for the current state."""
-        counts: dict[str, int] = {}
+        """Exact per-flavor available-host counts for the current state, counted
+        for every flavor at once, one resource column at a time."""
+        flavors = list(flavors)
         for flavor in flavors:
-            demand = np.asarray(flavor.demand, dtype=np.int64)
-            if demand.shape[0] != self.dim:
-                raise ModelError(
-                    f"flavor {flavor.id!r} has dimension {demand.shape[0]}, cluster has {self.dim}"
-                )
-            counts[flavor.id] = int(np.count_nonzero((self.available >= demand).all(axis=1)))
-        return AvailabilityCensus(counts)
+            if len(flavor.demand) != self.dim:
+                raise ModelError(f"flavor {flavor.id!r} has dimension {len(flavor.demand)}, "
+                                 f"cluster has {self.dim}")
+        demands = np.array([f.demand for f in flavors], dtype=np.int64).reshape(-1, self.dim)
+        columns = zip(self.available.T, demands.T)
+        counts = np.logical_and.reduce([a[:, None] >= w for a, w in columns]).sum(axis=0)
+        return AvailabilityCensus(dict(zip([f.id for f in flavors], counts.tolist())))
 
     def utilization(self) -> float:
         """Fraction of total capacity in use, summed over all coordinates."""

@@ -34,6 +34,8 @@ from .workload import (
 
 # seed sub-stream tags
 _TRACE, _ARRIVALS, _DEPARTURES, _SCHEDULER, _RESOLVE = range(5)
+#: ExperimentConfig fields only the apsr controller reads
+_CONTROLLER_KEYS = ("delta_hat", "budget", "period", "alpha", "estimator")
 
 
 @dataclass
@@ -64,6 +66,12 @@ class ExperimentConfig:
         PolicyConfig(self.policy, self.lambda_rank, self.adaptive_threshold)  # checks all three
         if (self.policy == "apsr") == (self.schedulers is not None):
             raise ConfigError("policy 'apsr' takes no schedulers; every other policy needs them")
+        if self.policy != "apsr":  # a fixed fleet runs no controller to read these
+            unread = [f.name for f in fields(self) if f.name in _CONTROLLER_KEYS
+                      and getattr(self, f.name) != f.default]
+            if unread:
+                raise ConfigError(f"policy {self.policy!r} runs a fixed fleet, which reads "
+                                  f"none of {', '.join(unread)}")
         if self.estimator not in ESTIMATOR_MODES:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if isinstance(self.budget, str):

@@ -1,7 +1,6 @@
 """Sampling-game statistics: closed forms against enumeration and Monte Carlo."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from apsr import (
     ApsrController,
     BallsBinsParams,
     ConfigError,
-    binom_pmf,
     expected_happy,
     max_paral,
     satisfy_sla,
@@ -45,35 +43,27 @@ class TestSigma:
             sigma(n, k, d)
 
 
-class TestBinomPmf:
-    def test_degenerate_edges(self):
-        assert binom_pmf(0, 7, 0.0) == 1.0
-        assert binom_pmf(7, 7, 1.0) == 1.0
-
-    def test_fair_coin(self):
-        # enumerate the 4 equiprobable outcomes of 2 trials
-        assert binom_pmf(1, 2, 0.5) == pytest.approx(0.5, abs=1e-15)
-
-    def test_stable_at_ten_thousand_trials(self):
-        s = 10_000
-        f = np.arange(s + 1)
-        assert binom_pmf(f, s, 0.37).sum() == pytest.approx(1.0, abs=1e-9)
-        exact = Fraction(math.comb(s, s // 2), 2**s)
-        assert binom_pmf(s // 2, s, 0.5) == pytest.approx(float(exact), rel=1e-10)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            binom_pmf(8, 7, 0.5)
-        with pytest.raises(ValueError):
-            binom_pmf(1, 7, 1.5)
-
-
 class TestExpectedHappy:
     def test_no_available_bins(self):
         assert expected_happy(BallsBinsParams(10, 0, 4, 3)) == 0.0
 
     def test_lone_agent_all_available(self):
         assert expected_happy(BallsBinsParams(10, 10, 1, 1)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_lone_host_always_wins_one(self):
+        # n = k = 1: sigma = 1, the closed form's base 1 - sigma/k is exactly 0
+        for s in (1, 2, 7, 1000):
+            for d in (1, 3, 50):
+                assert expected_happy(BallsBinsParams(1, 1, s, d)) == 1.0
+
+    def test_closed_form_matches_binomial_sum(self):
+        for n in (10, 837, 5989):
+            for k in (1, n // 7, n // 2, n):
+                for d in (1, 3, 20, 200):
+                    for s in (1, 2, 10, 100, 1000):
+                        direct = direct_expected_happy(n, k, s, d)
+                        value = expected_happy(BallsBinsParams(n, k, s, d))
+                        assert value == pytest.approx(direct, rel=1e-11), (n, k, d, s)
 
     def test_small_contended_case(self):
         assert expected_happy(BallsBinsParams(4, 2, 2, 1)) == pytest.approx(0.875, abs=1e-15)
@@ -113,6 +103,28 @@ class TestMaxParal:
     def test_agrees_with_scan_oracle_on_empty_cloud(self):
         n = 279
         assert max_paral(n, 0.05, n, n) == scan_max_paral(n, 0.05, n, n)
+
+    @pytest.mark.parametrize("budget", [837, 250])
+    def test_agrees_with_scan_oracle_at_every_k(self, budget):
+        n = 837
+        for k in range(n + 1):
+            assert max_paral(n, 0.05, budget, k) == scan_max_paral(n, 0.05, budget, k), k
+
+    def test_greedy_is_the_maximum(self):
+        """On acceptance criterion 4's instances, no fleet larger than the
+        greedy's s meets the SLA: the greedy rejects s + 1 itself, and every s'
+        in [s + 2, budget] fails too, so stopping at the first failure is the
+        largest fleet."""
+        rng = np.random.default_rng(2024)
+        for _ in range(1000):
+            n = int(rng.integers(1, 1001))
+            budget = int(rng.integers(1, n + 1))
+            k = int(rng.integers(0, n + 1))
+            delta_hat = float(rng.uniform(0.0, 0.2))
+            s, _ = max_paral(n, delta_hat, budget, k)
+            for larger in range(s + 2, budget + 1):
+                assert not satisfy_sla(n, delta_hat, k, larger, budget // larger), (
+                    n, delta_hat, budget, k, larger)
 
     def test_random_instances_properties_and_oracle(self):
         rng = np.random.default_rng(1234)

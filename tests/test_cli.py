@@ -118,6 +118,7 @@ class TestSimulate:
             ("controller", "preset = nfv\ncontroller = true\n"),
             ("lifetime", "preset = nfv-mmpp\nlifetime = finite\n"),
             ("weight", f"dataset = {weightless}\nhosts = 3\npolicy = ff\ns = 1\n"),
+            ("fixed-fleet", "preset = nfv\npolicy = ff\ns = 2\nestimator = oracle\nT = 1\n"),
         ]:
             path = tmp_path / f"{name}.cfg"
             path.write_text(text)

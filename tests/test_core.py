@@ -209,6 +209,21 @@ class TestClusterProperties:
             assert min(min(row) for row in rows) >= 0
 
 
+@st.composite
+def census_cases(draw):
+    """A fleet of one or two host shapes, its flavors, and a list of
+    (place?, index, flavor index) steps."""
+    dim = draw(st.integers(1, 3))
+    shapes = draw(st.lists(st.tuples(*[st.integers(0, 12)] * dim), min_size=1, max_size=2))
+    caps = [shapes[h % len(shapes)] for h in range(draw(st.integers(1, 6)))]
+    demand = st.tuples(*[st.integers(0, 8)] * dim).filter(any)
+    flavors = [flavor(*w, fid=f"f{i}")
+               for i, w in enumerate(draw(st.lists(demand, min_size=1, max_size=4)))]
+    steps = draw(st.lists(st.tuples(st.booleans(), st.integers(0, 50), st.integers(0, 3)),
+                          max_size=30))
+    return caps, flavors, steps
+
+
 class TestCensus:
     def test_empty_cluster_counts_everything(self):
         state = ClusterState([UNIT] * 8)
@@ -234,6 +249,20 @@ class TestCensus:
             rid += 1
         flavors = [flavor(32, 40), flavor(190, 540), flavor(500, 500)]
         assert state.census(flavors).per_flavor == census_brute(state, flavors)
+
+    @given(census_cases())
+    def test_matches_brute_force_after_every_step(self, case):
+        caps, flavors, steps = case
+        state = ClusterState(caps)
+        alive: list[int] = []
+        assert state.census(flavors).per_flavor == census_brute(state, flavors)
+        for rid, (is_place, index, which) in enumerate(steps):
+            if is_place or not alive:
+                if state.place(Request(rid, flavors[which % len(flavors)]), index % len(caps)):
+                    alive.append(rid)
+            else:
+                state.complete(alive.pop(index % len(alive)))
+            assert state.census(flavors).per_flavor == census_brute(state, flavors)
 
     def test_census_monotone_under_place_and_complete(self):
         state = ClusterState([UNIT] * 5)

@@ -49,6 +49,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown config keys"):
             make_config(dataset="nfv", policy="random", schedulers=4, controller=True)
 
+    @pytest.mark.parametrize("key, value", [
+        ("estimator", "oracle"), ("period", 1), ("alpha", 0.5), ("delta_hat", 0.1), ("budget", 64),
+    ])
+    def test_fixed_fleet_rejects_controller_settings(self, key, value):
+        """A fixed fleet runs no controller, so a controller setting it would
+        only echo is an error; the default value is accepted."""
+        with pytest.raises(ConfigError, match=key):
+            make_config("nfv", policy="ff", schedulers=2, **{key: value})
+        default = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}[key]
+        make_config("nfv", policy="ff", schedulers=2, **{key: default})
+
     def test_budget_forms(self):
         assert make_config(dataset="nfv", budget="50%", hosts=100).resolve_budget(100) == 50
         assert make_config(dataset="nfv", budget=64).resolve_budget(837) == 64
