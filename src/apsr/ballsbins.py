@@ -105,10 +105,6 @@ class SimulationResult:
     selection_counts: np.ndarray
 
     @property
-    def mean_potentially_happy(self) -> float:
-        return self.potentially_happy_total / self.trials
-
-    @property
     def mean_happy(self) -> float:
         return self.happy_total / self.trials
 

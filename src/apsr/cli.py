@@ -134,6 +134,8 @@ def cmd_analyze(args) -> int:
     n = args.hosts
     if n < 1 or args.budget < 1:
         raise ConfigError("hosts and budget must be >= 1")
+    if not 0.0 <= args.delta_hat <= 1.0:
+        raise ConfigError(f"delta_hat must be in [0, 1], got {args.delta_hat}")
     grid = _parse_grid(args.k_grid, n)
     rows = []
     for k in grid:
@@ -152,8 +154,12 @@ def _timeseries_rows(metrics):
 
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [config.seed]
-    fleet_size(load_dataset(config.dataset), config.hosts)  # a bad dataset or fleet exits first
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [config.seed]
+    except ValueError:
+        raise ConfigError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
+    load_dataset(config.dataset)  # a bad dataset or fleet exits before any output
+    fleet_size(config.dataset, config.hosts)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -10,7 +10,6 @@ back, so completing every request on a host restores its availability exactly.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Iterable
@@ -69,10 +68,11 @@ class Request:
     flavor: Flavor
 
 
-@dataclass(frozen=True)
+@dataclass
 class Placement:
     host_id: int
     demand: ResourceVector
+    index: int  # position of the request in ClusterState.resident_ids
 
 
 @dataclass
@@ -95,6 +95,9 @@ class ClusterState:
     One instance is owned by a single simulation run; parallel experiments use
     independently constructed states.  Row h of ``available`` always equals
     ``capacity[h]`` minus the sum of the demands placed on host h.
+    ``resident_ids`` lists the placed request ids in swap-remove order: a
+    placement appends its id, and a completion moves the last id into the
+    freed position.  Departure draws index this order.
     """
 
     def __init__(self, capacities: Iterable[Iterable[int]]):
@@ -107,9 +110,8 @@ class ClusterState:
             raise ModelError("total capacity does not fit in int64")
         self.capacity = np.array(caps, dtype=np.int64)
         self.available = self.capacity.copy()
-        self.pending: deque[Request] = deque()
         self.placements: dict[int, Placement] = {}
-        self.slot = 0
+        self.resident_ids: list[int] = []
 
     @property
     def n(self) -> int:
@@ -137,7 +139,8 @@ class ClusterState:
         if not fits(demand, self.available[host_id]):
             return False
         self.available[host_id] -= demand
-        self.placements[request.id] = Placement(host_id, demand)
+        self.placements[request.id] = Placement(host_id, demand, len(self.resident_ids))
+        self.resident_ids.append(request.id)
         return True
 
     def complete(self, request_id: int) -> int:
@@ -146,6 +149,10 @@ class ClusterState:
         if placement is None:
             raise ModelError(f"request {request_id} is not placed")
         self.available[placement.host_id] += placement.demand
+        last = self.resident_ids.pop()
+        if last != request_id:
+            self.resident_ids[placement.index] = last
+            self.placements[last].index = placement.index
         return placement.host_id
 
     def census(self, flavors: Iterable[Flavor]) -> AvailabilityCensus:

@@ -9,7 +9,9 @@ scheduler index), so decisions are independent of the order schedulers are
 evaluated in.  Chosen assignments are then resolved
 against the live state in a uniformly random order; an assignment fails if its
 host can no longer take the request at its turn.  Declined requests are not
-re-queued: each request gets a single placement attempt.
+re-queued: each request gets a single placement attempt, in trace order, so the
+pending queue is the slice of the trace that has arrived but not been attempted.
+Departures draw positions in the cluster state's swap-remove order of residents.
 """
 
 from __future__ import annotations
@@ -251,7 +253,7 @@ class Simulation:
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.dataset = load_dataset(config.dataset)
-        hosts = fleet_size(self.dataset, config.hosts)
+        hosts = fleet_size(config.dataset, config.hosts)
         self.state = ClusterState(fleet_capacities(self.dataset, hosts))
         self.budget = config.resolve_budget(self.state.n)
         self.trace = build_trace(self.dataset, config.replicas, (config.seed, _TRACE))
@@ -271,39 +273,20 @@ class Simulation:
                                              config.period, config.alpha, config.estimator)
         self.metrics = RunMetrics()
 
-        self._next_arrival = 0
+        self.slot = 0
+        self._arrived = self._attempted = 0  # trace[_attempted:_arrived] is pending
         self._host_ids = np.arange(self.state.n)
         self._rng_departures = np.random.default_rng((config.seed, _DEPARTURES))
-        self._placed_ids: list[int] = []
-        self._placed_pos: dict[int, int] = {}
-
-    # -- state bookkeeping -------------------------------------------------
-
-    def _place(self, request: Request, host_id: int) -> bool:
-        if not self.state.place(request, host_id):
-            return False
-        self._placed_pos[request.id] = len(self._placed_ids)
-        self._placed_ids.append(request.id)
-        return True
-
-    def _complete(self, request_id: int) -> None:
-        self.state.complete(request_id)
-        pos = self._placed_pos.pop(request_id)
-        last = self._placed_ids.pop()
-        if last != request_id:
-            self._placed_ids[pos] = last
-            self._placed_pos[last] = pos
 
     def _process_departures(self) -> None:
-        if self.config.lambda_d is not None and self._placed_ids:
+        resident = self.state.resident_ids
+        if self.config.lambda_d is not None and resident:
             leaving = int(self._rng_departures.poisson(self.config.lambda_d))
-            leaving = min(leaving, len(self._placed_ids))
+            leaving = min(leaving, len(resident))
             if leaving:
-                picks = self._rng_departures.choice(
-                    len(self._placed_ids), size=leaving, replace=False
-                )
-                for request_id in [self._placed_ids[i] for i in picks]:
-                    self._complete(request_id)
+                picks = self._rng_departures.choice(len(resident), size=leaving, replace=False)
+                for request_id in [resident[i] for i in picks]:
+                    self.state.complete(request_id)
 
     # -- per-slot work -----------------------------------------------------
 
@@ -342,15 +325,12 @@ class Simulation:
         return [None if p == n else p for p in picks.tolist()]
 
     def run_slot(self) -> SlotMetrics:
-        state, config = self.state, self.config
-        slot = state.slot
+        state, config, slot = self.state, self.config, self.slot
 
         self._process_departures()
 
         if slot < len(self.schedule):
-            for _ in range(self.schedule[slot]):
-                state.pending.append(self.trace[self._next_arrival])
-                self._next_arrival += 1
+            self._arrived += self.schedule[slot]
 
         if self.controller is not None and self.controller.due(slot):
             census = None
@@ -360,8 +340,9 @@ class Simulation:
             self.controller.tick(census)
 
         allowed = self.controller.s if self.controller else config.schedulers
-        active = min(allowed, len(state.pending))
-        requests = [state.pending.popleft() for _ in range(active)]
+        active = min(allowed, self._arrived - self._attempted)
+        requests = self.trace[self._attempted:self._attempted + active]
+        self._attempted += active
         view = HostView(self._host_ids, state.available.copy(), state.capacity)
         targets = self.decide(view, slot, enumerate(requests))
         queried = self.controller.d if self.policy.kind == "apsr" else state.n
@@ -372,7 +353,7 @@ class Simulation:
             request, target = requests[j], targets[j]
             if target is None:
                 no_host += 1
-            elif self._place(request, target):
+            elif state.place(request, target):
                 successes += 1
             else:
                 collisions += 1
@@ -389,12 +370,12 @@ class Simulation:
             utilization=state.utilization(),
         )
         self.metrics.record(sm)
-        state.slot += 1
+        self.slot += 1
         return sm
 
     def run(self) -> RunMetrics:
-        while self._next_arrival < len(self.trace) or self.state.pending:
-            if self.state.slot >= self.config.max_slots:
+        while self._attempted < len(self.trace):
+            if self.slot >= self.config.max_slots:
                 self.metrics.truncated = True
                 break
             self.run_slot()

@@ -60,10 +60,6 @@ class DatasetSpec:
     decimals: int  # table value = stored integer * 10^-decimals
 
     @property
-    def dim(self) -> int:
-        return len(self.resources)
-
-    @property
     def requests_per_replica(self) -> int:
         return sum(self.flavor_counts.values()) + sum(self.class_counts.values())
 
@@ -186,11 +182,12 @@ def load_dataset(name_or_path: str) -> DatasetSpec:
     )
 
 
-def fleet_size(spec: DatasetSpec, hosts: int | None) -> int:
-    """The configured host count, or the dataset's default fleet when None."""
-    hosts = hosts or DEFAULT_FLEETS.get(spec.name)
+def fleet_size(dataset: str, hosts: int | None) -> int:
+    """The configured host count, or when None the default fleet of a bundled
+    dataset named by ``dataset`` (a user table has none, whatever its file name)."""
+    hosts = hosts or DEFAULT_FLEETS.get(dataset)
     if hosts is None:
-        raise ConfigError(f"dataset {spec.name!r} has no default fleet; set hosts explicitly")
+        raise ConfigError(f"dataset {dataset!r} has no default fleet; set hosts explicitly")
     return hosts
 
 
@@ -291,6 +288,8 @@ def size_hosts(
     """
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
+    if not policy_set:
+        raise ConfigError("size_hosts needs at least one policy")
     for flavor in spec.flavors:
         if not any(fits(flavor.demand, capacity) for capacity, _ in spec.host_shapes):
             raise ConfigError(f"{spec.name}: flavor {flavor.id} fits no host shape")

@@ -146,7 +146,7 @@ class TestMaxParal:
 class TestSimulation:
     def test_no_available_bins_yields_zero(self):
         result = simulate_balls_and_bins(BallsBinsParams(10, 0, 3, 2), trials=50, seed=0)
-        assert result.mean_potentially_happy == 0.0
+        assert result.potentially_happy_total / result.trials == 0.0
         assert result.mean_happy == 0.0
 
     def test_lone_agent_all_available_is_deterministic(self):
@@ -161,7 +161,8 @@ class TestSimulation:
         # potentially happy agents are Binomial(s, sigma)
         expected_ph = params.s * sigma(params.n, params.k, params.d)
         se = math.sqrt(params.s * 0.5 * 0.5 / result.trials)
-        assert abs(result.mean_potentially_happy - expected_ph) <= 3 * se
+        mean_potentially_happy = result.potentially_happy_total / result.trials
+        assert abs(mean_potentially_happy - expected_ph) <= 3 * se
 
     def test_selection_counts_total_potentially_happy(self):
         result = simulate_balls_and_bins(BallsBinsParams(8, 3, 4, 2), trials=20_000, seed=9)

@@ -59,6 +59,14 @@ class TestAnalyze:
     def test_malformed_grid_is_usage_error(self, grid):
         assert run_cli("analyze", "-n", 10, "-B", 10, "--k-grid", grid) == 2
 
+    @pytest.mark.parametrize("delta_hat", ["2", "-0.1", "nan"])
+    def test_delta_hat_out_of_range_is_usage_error(self, delta_hat, capsys):
+        argv = ("analyze", "-n", 10, "-B", 10, "--k-grid", "0,5", "--delta-hat", delta_hat)
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "delta_hat must be in [0, 1]" in captured.err
+
 
 class TestSimulate:
     def test_writes_manifest_and_timeseries(self, tmp_path, small_config):
@@ -127,6 +135,25 @@ class TestSimulate:
             assert not out.exists(), name
             assert "running seed" not in capsys.readouterr().err, name
 
+    @pytest.mark.parametrize("seeds", ["x", "0,,1", "1.5"])
+    def test_malformed_seeds_rejected_before_any_output(self, tmp_path, small_config, seeds,
+                                                        capsys):
+        out = tmp_path / "out"
+        assert run_cli("simulate", small_config, "--seeds", seeds, "--out", out) == 2
+        assert not out.exists()
+        assert "--seeds must be comma-separated integers" in capsys.readouterr().err
+
+    def test_user_table_named_like_a_bundled_dataset_has_no_default_fleet(self, tmp_path,
+                                                                           capsys):
+        table = tmp_path / "nfv.txt"
+        table.write_text("resources cpu mem\nhost 1 1 1\nflavor 0.5 0.5 2\n")
+        path = tmp_path / "run.cfg"
+        path.write_text(f"dataset = {table}\npolicy = ff\ns = 1\n")
+        out = tmp_path / "out"
+        assert run_cli("simulate", path, "--out", out) == 2
+        assert not out.exists()
+        assert "set hosts explicitly" in capsys.readouterr().err
+
     def test_malformed_config_line_is_config_error(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("dataset nfv\n")
@@ -155,6 +182,13 @@ class TestSizeHosts:
 
     def test_zero_runs_is_usage_error(self):
         assert run_cli("size-hosts", "nfv", "--runs", 0) == 2
+
+    @pytest.mark.parametrize("policies", ["", " , "])
+    def test_no_policies_is_usage_error(self, policies, capsys):
+        assert run_cli("size-hosts", "nfv", "--runs", 1, "--policies", policies) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: size_hosts needs at least one policy\n"
 
     def test_ten_decimal_places_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "fine.txt"

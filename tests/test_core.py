@@ -186,8 +186,9 @@ class TestClusterProperties:
     @given(operation_sequences())
     def test_random_place_complete_sequences(self, case):
         """After every operation: available == capacity - sum of resident
-        demands (recounted in plain ints), no coordinate is negative, and
-        place declines exactly when the demand does not fit."""
+        demands (recounted in plain ints), no coordinate is negative, place
+        declines exactly when the demand does not fit, and ``resident_ids``
+        lists exactly the residents, each at its placement's index."""
         caps, ops = case
         state = ClusterState(caps)
         book = ReplayBook(caps)
@@ -207,6 +208,19 @@ class TestClusterProperties:
             rows = state.available.tolist()
             assert rows == book.expected_available()
             assert min(min(row) for row in rows) >= 0
+            assert sorted(state.resident_ids) == sorted(book.resident)
+            for i, rid in enumerate(state.resident_ids):
+                assert state.placements[rid].index == i
+
+    def test_complete_swaps_the_last_resident_into_the_freed_position(self):
+        state = ClusterState([UNIT])
+        for rid in range(5):
+            assert state.place(request(rid, 100, 100), 0)
+        state.complete(1)
+        assert state.resident_ids == [0, 4, 2, 3]
+        state.complete(3)  # the last entry: nothing moves
+        assert state.resident_ids == [0, 4, 2]
+        assert [state.placements[rid].index for rid in (0, 4, 2)] == [0, 1, 2]
 
 
 @st.composite

@@ -104,11 +104,8 @@ class TestSlotMechanics:
         sim = Simulation(
             make_config(dataset=tiny_dataset, hosts=1, policy="ff", schedulers=2, seed=0)
         )
-        # bypass the arrival schedule: both requests pending in the same slot
-        for request in sim.trace:
-            sim.state.pending.append(request)
-        sim._next_arrival = len(sim.trace)
-        sim.schedule = []
+        # the whole trace arrives in slot 0, so both requests are pending together
+        sim.schedule = [len(sim.trace)]
         sm = sim.run_slot()
         assert (sm.attempts, sm.successes, sm.decline_collision) == (2, 1, 1)
 
@@ -188,12 +185,12 @@ class TestSnapshotCausality:
     def forward_and_backward(sim, count):
         """The slot's decisions evaluated in scheduler order and in reverse,
         each against its own fresh view of the same slot-start snapshot."""
-        pairs = list(enumerate(list(sim.state.pending)[:count]))
+        pairs = list(enumerate(sim.trace[sim._attempted:sim._arrived][:count]))
         assert len(pairs) >= 2
 
         def decide(order):
             view = HostView(np.arange(sim.state.n), sim.state.available.copy(), sim.state.capacity)
-            return sim.decide(view, sim.state.slot, order)
+            return sim.decide(view, sim.slot, order)
 
         forward = decide(pairs)
         if sim.controller is not None:

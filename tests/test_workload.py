@@ -250,6 +250,10 @@ class TestSizeHosts:
         with pytest.raises(ConfigError):
             size_hosts(load_dataset("nfv"), 1, ("ff",), runs=0, seed=0)
 
+    def test_empty_policy_set_is_config_error(self):
+        with pytest.raises(ConfigError, match="at least one policy"):
+            size_hosts(load_dataset("nfv"), 1, (), runs=1, seed=0)
+
     def test_flavor_no_host_shape_fits_is_config_error(self, tmp_path):
         path = tmp_path / "unfit.txt"
         path.write_text("resources cpu mem\nhost 1 1 1\nflavor 2 0.5 1\n")
