@@ -158,6 +158,10 @@ def cmd_simulate(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [config.seed]
     except ValueError:
         raise ConfigError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
+    for seed in seeds:  # a repeated seed would add no information but shrink the stderr
+        if seeds.count(seed) > 1:
+            raise ConfigError(f"--seeds repeats seed {seed}")
+        _with_seed(config, seed)  # checks the seed's range before any output
     load_dataset(config.dataset)  # a bad dataset or fleet exits before any output
     fleet_size(config.dataset, config.hosts)
     out_dir = Path(args.out)
@@ -197,6 +201,8 @@ def _aggregate(runs: list[dict]) -> dict:
 def cmd_size_hosts(args) -> int:
     if args.runs < 1:
         raise ConfigError(f"runs must be >= 1, got {args.runs}")
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     spec = load_dataset(args.dataset)
     policies = tuple(p.strip() for p in args.policies.split(",") if p.strip())
     result = size_hosts(spec, args.replicas, policies, args.runs, args.seed)

@@ -3,15 +3,17 @@ snapshot, contended resolution at hosts, metric accumulation, controller ticks.
 
 Each slot proceeds in a fixed order: departures, arrivals, controller tick (on
 period boundaries), scheduler decisions, randomized resolution, metrics.  Every
-scheduler reads one shared view of the start-of-slot snapshot, and a scheduler
-whose policy draws randomness owns an RNG stream derived from (run seed, slot,
-scheduler index), so decisions are independent of the order schedulers are
-evaluated in.  Chosen assignments are then resolved
-against the live state in a uniformly random order; an assignment fails if its
-host can no longer take the request at its turn.  Declined requests are not
-re-queued: each request gets a single placement attempt, in trace order, so the
-pending queue is the slice of the trace that has arrived but not been attempted.
-Departures draw positions in the cluster state's swap-remove order of residents.
+scheduler reads one shared view of the start-of-slot snapshot.  A deterministic
+kind (ff, wf, adaptive, distfromdiag) decides once per distinct demand per slot;
+the random, ffr and wfr schedulers and the sampling agents each own an RNG
+stream derived from (run seed, slot, scheduler index), so decisions are
+independent of the order schedulers are evaluated in.  Chosen assignments are
+then resolved against the live state in a uniformly random order; an
+assignment fails if its host can no longer take the request at its turn.
+Declined requests are not re-queued: each request gets a single placement
+attempt, in trace order, so the pending queue is the slice of the trace that
+has arrived but not been attempted.  Departures draw positions in the cluster
+state's swap-remove order of residents.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ class ExperimentConfig:
             ("schedulers", self.schedulers is None or self.schedulers >= 1, ">= 1"),
             ("replicas", self.replicas >= 1, ">= 1"),
             ("hosts", self.hosts is None or self.hosts >= 1, ">= 1"),
+            ("seed", self.seed >= 0, ">= 0"),
             ("max_slots", self.max_slots >= 1, ">= 1"),
             ("lambda_d", self.lambda_d is None or self.lambda_d > 0, "> 0"),
             ("delta_hat", 0.0 <= self.delta_hat <= 1.0, "in [0, 1]"),
@@ -295,18 +298,19 @@ class Simulation:
     ) -> list[int | None]:
         """Target host (or None to decline) of each (scheduler index, request) pair.
 
-        A decision reads only the slot's shared snapshot ``view`` and scheduler
-        i's own (seed, slot, i) stream, so the order of the pairs changes no target.
-        Sampling agents draw their d-samples, then all pick in one call to the
-        Monte-Carlo game's kernel; every other kind goes through ``choose``.
+        A decision reads only the slot's shared snapshot ``view`` and, for the
+        random, ffr and wfr kinds and the sampling agents, scheduler i's own
+        (seed, slot, i) stream, so the order of the pairs changes no target.
+        Deterministic kinds call ``choose`` once per distinct demand, the other
+        snapshot kinds once per pair; sampling agents draw their d-samples, then
+        all pick in one call to the Monte-Carlo game's kernel.
         """
         pairs = list(schedulers)
-        streams = [
-            None
-            if self.policy.kind in DETERMINISTIC_KINDS
-            else np.random.default_rng((self.config.seed, _SCHEDULER, slot, i))
-            for i, _ in pairs
-        ]
+        if self.policy.kind in DETERMINISTIC_KINDS:  # one view and one demand give one pick
+            demands = {r.flavor.demand: r for _, r in pairs}  # one request per demand
+            picks = {demand: choose(self.policy, view, r, None) for demand, r in demands.items()}
+            return [picks[r.flavor.demand] for _, r in pairs]
+        streams = [np.random.default_rng((self.config.seed, _SCHEDULER, slot, i)) for i, _ in pairs]
         if self.policy.kind != "apsr":
             return [choose(self.policy, view, r, rng) for (_, r), rng in zip(pairs, streams)]
         if not pairs:

@@ -143,6 +143,25 @@ class TestSimulate:
         assert not out.exists()
         assert "--seeds must be comma-separated integers" in capsys.readouterr().err
 
+    def test_negative_seed_rejected_before_any_output(self, tmp_path, small_config, capsys):
+        out = tmp_path / "out"
+        assert run_cli("simulate", small_config, "--seeds=-1", "--out", out) == 2
+        assert not out.exists()
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        path = tmp_path / "negative.cfg"
+        path.write_text(small_config.read_text() + "seed = -3\n")
+        assert run_cli("simulate", path, "--out", out) == 2
+        assert not out.exists()
+        assert "seed must be >= 0, got -3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", ["0,0", "3,1,3"])
+    def test_repeated_seed_rejected_before_any_output(self, tmp_path, small_config, seeds,
+                                                      capsys):
+        out = tmp_path / "out"
+        assert run_cli("simulate", small_config, "--seeds", seeds, "--out", out) == 2
+        assert not out.exists()
+        assert f"--seeds repeats seed {seeds[0]}" in capsys.readouterr().err
+
     def test_user_table_named_like_a_bundled_dataset_has_no_default_fleet(self, tmp_path,
                                                                            capsys):
         table = tmp_path / "nfv.txt"
@@ -182,6 +201,12 @@ class TestSizeHosts:
 
     def test_zero_runs_is_usage_error(self):
         assert run_cli("size-hosts", "nfv", "--runs", 0) == 2
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert run_cli("size-hosts", "nfv", "--runs", 1, "--seed=-1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("policies", ["", " , "])
     def test_no_policies_is_usage_error(self, policies, capsys):

@@ -5,11 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+import apsr.engine
 from apsr import (
     ConfigError,
     ExperimentConfig,
     HostView,
     Simulation,
+    choose,
     make_config,
     run_experiment,
 )
@@ -73,7 +75,7 @@ class TestConfigValidation:
         ("delta_hat", 2.0), ("delta_hat", -0.1), ("alpha", 0.0), ("alpha", 1.5),
         ("period", 0), ("lambda_a", 0.0), ("mmpp_rate_low", -1.0), ("mmpp_switch", 1.2),
         ("lambda_rank", 0), ("adaptive_threshold", 1.5), ("delta_hat", float("nan")),
-        ("lambda_d", 0.0),
+        ("lambda_d", 0.0), ("seed", -1),
     ])
     def test_out_of_range_numbers_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -236,6 +238,52 @@ class TestSamplingDecisions:
         assert any(len(pairs) >= 2 for _, _, pairs, _, _ in checked)
         for available, slot, pairs, d, targets in checked:
             assert targets == replay_sampling_decisions(5, slot, pairs, available, d)
+
+
+class TestDeterministicDecisions:
+    """A deterministic kind picks one host per demand from one view, so the
+    engine calls ``choose`` once per distinct demand in the slot."""
+
+    @staticmethod
+    def mid_run(preset, kind):
+        """A slot-start snapshot 100 slots in, with its slot's ten pairs."""
+        sim = Simulation(make_config(preset, policy=kind, schedulers=10, seed=0))
+        for _ in range(100):
+            sim.run_slot()
+        pairs = list(enumerate(sim.trace[sim._attempted:sim._arrived][:10]))
+        demands = [r.flavor.demand for _, r in pairs]
+        assert len(set(demands)) < len(demands)  # some demand repeats in the slot
+        return sim, pairs, len(set(demands))
+
+    @staticmethod
+    def fresh_view(sim):
+        return HostView(np.arange(sim.state.n), sim.state.available.copy(), sim.state.capacity)
+
+    @pytest.mark.parametrize("preset", ["nfv", "amazon"])
+    @pytest.mark.parametrize("kind", ["ff", "wf", "adaptive", "distfromdiag"])
+    def test_one_pick_per_demand_equals_one_call_per_request(self, preset, kind):
+        sim, pairs, _ = self.mid_run(preset, kind)
+        targets = sim.decide(self.fresh_view(sim), sim.slot, pairs)
+        view = self.fresh_view(sim)
+        assert targets == [choose(sim.policy, view, r, None) for _, r in pairs]
+        assert any(t is not None for t in targets)
+
+    @pytest.mark.parametrize("preset", ["nfv", "amazon"])
+    @pytest.mark.parametrize("kind, per_demand", [
+        ("ff", True), ("wf", True), ("adaptive", True), ("distfromdiag", True),
+        ("random", False), ("ffr", False), ("wfr", False),
+    ])
+    def test_choose_calls_per_slot(self, monkeypatch, preset, kind, per_demand):
+        sim, pairs, distinct = self.mid_run(preset, kind)
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2].flavor.demand)
+            return choose(*args)
+
+        monkeypatch.setattr(apsr.engine, "choose", counting)
+        sim.decide(self.fresh_view(sim), sim.slot, pairs)
+        assert len(calls) == (distinct if per_demand else len(pairs))
 
 
 class TestRunShapes:

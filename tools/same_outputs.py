@@ -7,10 +7,10 @@ OLD_SRC and NEW_SRC are directories holding the `apsr` package (a checkout's
 `src/`).  Each tree runs `apsr simulate --seeds 0,1,2` in its own Python
 subprocess for: the presets nfv, google, amazon and nfv-mmpp; nfv with the
 oracle estimator at T=1; nfv with a fixed fleet of s=10 under each of the
-seven snapshot policies; and amazon (two host shapes) with s=10 under
-distfromdiag.  Prints "identical" when every `manifest.json` and
-`run_<seed>.csv` matches byte for byte and exits 0; otherwise prints the first
-differing file and exits 1.  Exit 2 means a tree could not run.  This is the
+seven snapshot policies; amazon (two host shapes) with s=10 under
+distfromdiag; and google (5,989 hosts) with s=10 under wf.  Prints
+"identical" when every `manifest.json` and `run_<seed>.csv` matches byte for
+byte and exits 0; otherwise prints the first differing file and exits 1.  Exit 2 means a tree could not run.  This is the
 check for changes that mean to keep how randomness is drawn.
 """
 
@@ -34,6 +34,7 @@ CONFIGS = {
         for kind in ("ff", "wf", "random", "ffr", "wfr", "adaptive", "distfromdiag")
     },
     "amazon-distfromdiag-s10": "preset = amazon\npolicy = distfromdiag\ns = 10\n",
+    "google-wf-s10": "preset = google\npolicy = wf\ns = 10\n",
 }
 
 
