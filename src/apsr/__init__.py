@@ -34,10 +34,8 @@ from .engine import (
     ExperimentConfig,
     RunMetrics,
     Simulation,
-    SlotMetrics,
     make_config,
     run_experiment,
-    sweep,
 )
 from .policies import HostView, PolicyConfig, choose
 from .workload import (
@@ -77,7 +75,6 @@ __all__ = [
     "SimulationResult",
     "Simulation",
     "SizingResult",
-    "SlotMetrics",
     "build_arrivals",
     "build_trace",
     "choose",
@@ -92,6 +89,5 @@ __all__ = [
     "sigma",
     "simulate_balls_and_bins",
     "size_hosts",
-    "sweep",
     "vector",
 ]

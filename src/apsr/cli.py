@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,11 +29,12 @@ import numpy as np
 from . import __version__
 from .ballsbins import BallsBinsParams, expected_happy, max_paral
 from .core import ConfigError, ModelError
-from .engine import PRESETS, ExperimentConfig, make_config, run_experiment, _with_seed
+from .engine import PRESETS, ExperimentConfig, make_config, run_experiment
 from .workload import DATASET_NAMES, DEFAULT_FLEETS, fleet_size, load_dataset, size_hosts
 
 ANALYZE_COLUMNS = ("n", "delta_hat", "budget", "k", "s", "d",
                    "expected_happy", "expected_happy_per_scheduler")
+#: the SlotSeries lists each run_<seed>.csv holds, in column order
 TIMESERIES_COLUMNS = ("slot", "utilization", "schedulers", "k_estimate", "decline_ratio")
 SIZING_COLUMNS = ("run", "policy", "hosts")
 
@@ -146,12 +147,6 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _timeseries_rows(metrics):
-    series = metrics.series
-    return zip(series.slot, series.utilization, series.schedulers,
-               series.k_estimate, series.decline_ratio)
-
-
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
     try:
@@ -161,7 +156,7 @@ def cmd_simulate(args) -> int:
     for seed in seeds:  # a repeated seed would add no information but shrink the stderr
         if seeds.count(seed) > 1:
             raise ConfigError(f"--seeds repeats seed {seed}")
-        _with_seed(config, seed)  # checks the seed's range before any output
+        replace(config, seed=seed)  # checks the seed's range before any output
     load_dataset(config.dataset)  # a bad dataset or fleet exits before any output
     fleet_size(config.dataset, config.hosts)
     out_dir = Path(args.out)
@@ -176,8 +171,9 @@ def cmd_simulate(args) -> int:
     }
     for seed in seeds:
         _progress(f"running seed {seed} ...")
-        metrics = run_experiment(_with_seed(config, seed))
-        _write_csv(out_dir / f"run_{seed}.csv", TIMESERIES_COLUMNS, _timeseries_rows(metrics))
+        metrics = run_experiment(replace(config, seed=seed))
+        rows = zip(*(getattr(metrics.series, column) for column in TIMESERIES_COLUMNS))
+        _write_csv(out_dir / f"run_{seed}.csv", TIMESERIES_COLUMNS, rows)
         manifest["runs"].append({"seed": seed, "metrics": metrics.to_dict()})
         manifest["aggregate"] = _aggregate(manifest["runs"])
         (out_dir / "manifest.json").write_text(

@@ -18,7 +18,7 @@ state's swap-remove order of residents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 import numpy as np
@@ -38,8 +38,14 @@ from .workload import (
 
 # seed sub-stream tags
 _TRACE, _ARRIVALS, _DEPARTURES, _SCHEDULER, _RESOLVE = range(5)
-#: ExperimentConfig fields only the apsr controller reads
-_CONTROLLER_KEYS = ("delta_hat", "budget", "period", "alpha", "estimator")
+#: ExperimentConfig fields read only when another field takes one of some
+#: values; set away from its default otherwise, a field would only be echoed
+_READ_WHEN = {
+    **dict.fromkeys(("delta_hat", "budget", "period", "alpha", "estimator"), ("policy", ("apsr",))),
+    **dict.fromkeys(("mmpp_rate_low", "mmpp_switch"), ("arrival", ("mmpp",))),
+    "lambda_rank": ("policy", ("ffr", "wfr")),
+    "adaptive_threshold": ("policy", ("adaptive",)),
+}
 
 
 @dataclass
@@ -70,12 +76,12 @@ class ExperimentConfig:
         PolicyConfig(self.policy, self.lambda_rank, self.adaptive_threshold)  # checks all three
         if (self.policy == "apsr") == (self.schedulers is not None):
             raise ConfigError("policy 'apsr' takes no schedulers; every other policy needs them")
-        if self.policy != "apsr":  # a fixed fleet runs no controller to read these
-            unread = [f.name for f in fields(self) if f.name in _CONTROLLER_KEYS
-                      and getattr(self, f.name) != f.default]
-            if unread:
-                raise ConfigError(f"policy {self.policy!r} runs a fixed fleet, which reads "
-                                  f"none of {', '.join(unread)}")
+        defaults = {f.name: f.default for f in fields(self)}
+        unread = [f"{name} (read only when {key} is {' or '.join(values)})"
+                  for name, (key, values) in _READ_WHEN.items()
+                  if getattr(self, name) != defaults[name] and getattr(self, key) not in values]
+        if unread:
+            raise ConfigError(f"this run never reads {', '.join(unread)}")
         if self.estimator not in ESTIMATOR_MODES:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if isinstance(self.budget, str):
@@ -161,19 +167,6 @@ def make_config(preset: str | None = None, **overrides) -> ExperimentConfig:
 
 
 @dataclass
-class SlotMetrics:
-    slot: int
-    attempts: int
-    successes: int
-    decline_no_host: int
-    decline_collision: int
-    queries: int
-    schedulers_allowed: int
-    k_estimate: float  # nan for fixed-fleet runs
-    utilization: float
-
-
-@dataclass
 class SlotSeries:
     """Per-slot time series, parallel lists indexed by slot."""
 
@@ -189,6 +182,9 @@ class SlotSeries:
 
 @dataclass
 class RunMetrics:
+    """A run's one record: its totals and, per slot, its series.  The
+    manifest's metric keys and the CSV columns are read from these fields."""
+
     slots: int = 0
     attempts: int = 0
     successes: int = 0
@@ -217,37 +213,30 @@ class RunMetrics:
         """Average number of schedulers that handled a request per slot."""
         return self.attempts / self.slots if self.slots else 0.0
 
-    def record(self, sm: SlotMetrics) -> None:
-        self.slots += 1
-        self.attempts += sm.attempts
-        self.successes += sm.successes
-        self.declines_no_host += sm.decline_no_host
-        self.declines_collision += sm.decline_collision
-        self.scheduler_queries += sm.queries
+    def record(self, *, attempts: int, successes: int, no_host: int, collisions: int,
+               queries: int, schedulers: int, k_estimate: float, utilization: float) -> None:
+        """Add one slot's outcomes; every slot is recorded once, in order."""
         s = self.series
-        s.slot.append(sm.slot)
-        s.utilization.append(sm.utilization)
-        s.schedulers.append(sm.schedulers_allowed)
-        s.k_estimate.append(sm.k_estimate)
+        s.slot.append(self.slots)
+        self.slots += 1
+        self.attempts += attempts
+        self.successes += successes
+        self.declines_no_host += no_host
+        self.declines_collision += collisions
+        self.scheduler_queries += queries
+        s.utilization.append(utilization)
+        s.schedulers.append(schedulers)
+        s.k_estimate.append(k_estimate)  # nan for fixed-fleet runs
         s.decline_ratio.append(self.decline_ratio)
-        s.attempts.append(sm.attempts)
-        s.successes.append(sm.successes)
-        s.queries.append(sm.queries)
+        s.attempts.append(attempts)
+        s.successes.append(successes)
+        s.queries.append(queries)
 
     def to_dict(self) -> dict:
-        return {
-            "slots": self.slots,
-            "attempts": self.attempts,
-            "successes": self.successes,
-            "declines_no_host": self.declines_no_host,
-            "declines_collision": self.declines_collision,
-            "decline_ratio": self.decline_ratio,
-            "throughput": self.throughput,
-            "mean_active": self.mean_active,
-            "scheduler_queries": self.scheduler_queries,
-            "controller_queries": self.controller_queries,
-            "truncated": self.truncated,
-        }
+        """Every total (each field but the series) and the three ratios."""
+        totals = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "series"}
+        return {**totals, **{name: getattr(self, name)
+                             for name in ("decline_ratio", "throughput", "mean_active")}}
 
 
 class Simulation:
@@ -328,7 +317,7 @@ class Simulation:
         picks = pick_distinct(np.where(fits, view.ids[rows], n), n, rank)  # host ids are below n
         return [None if p == n else p for p in picks.tolist()]
 
-    def run_slot(self) -> SlotMetrics:
+    def run_slot(self) -> None:
         state, config, slot = self.state, self.config, self.slot
 
         self._process_departures()
@@ -362,20 +351,11 @@ class Simulation:
             else:
                 collisions += 1
 
-        sm = SlotMetrics(
-            slot=slot,
-            attempts=active,
-            successes=successes,
-            decline_no_host=no_host,
-            decline_collision=collisions,
-            queries=queried * active,
-            schedulers_allowed=allowed,
-            k_estimate=self.controller.k_estimate if self.controller else float("nan"),
-            utilization=state.utilization(),
-        )
-        self.metrics.record(sm)
+        k_estimate = self.controller.k_estimate if self.controller else float("nan")
+        self.metrics.record(attempts=active, successes=successes, no_host=no_host,
+                            collisions=collisions, queries=queried * active, schedulers=allowed,
+                            k_estimate=k_estimate, utilization=state.utilization())
         self.slot += 1
-        return sm
 
     def run(self) -> RunMetrics:
         while self._attempted < len(self.trace):
@@ -390,11 +370,3 @@ def run_experiment(config: ExperimentConfig) -> RunMetrics:
     """Run one experiment to completion; deterministic in (config, seed)."""
     return Simulation(config).run()
 
-
-def sweep(config: ExperimentConfig, seeds: Iterable[int]) -> dict[int, RunMetrics]:
-    """Run the same configuration across seeds (independent runs)."""
-    return {seed: run_experiment(_with_seed(config, seed)) for seed in seeds}
-
-
-def _with_seed(config: ExperimentConfig, seed: int) -> ExperimentConfig:
-    return replace(config, seed=seed)

@@ -95,7 +95,10 @@ def parse_dataset(text: str, name: str) -> DatasetSpec:
                     raise ConfigError(f"host weight must be >= 1, got {weight}")
                 host_shapes.append((_amounts(args[:-1]), weight))
             elif keyword == "class":
-                class_counts[args[0]] = int(args[1])
+                count = int(args[1])
+                if count < 0:
+                    raise ConfigError(f"class counts must be >= 0, got {count}")
+                class_counts[args[0]] = count
             elif keyword == "flavor":
                 if resource_names is None:
                     raise ConfigError("'resources' line must come first")
@@ -117,6 +120,8 @@ def parse_dataset(text: str, name: str) -> DatasetSpec:
                 if len(rest) == 2:
                     if rest[1] not in class_counts:
                         raise ConfigError(f"flavor references undeclared class {rest[1]!r}")
+                    if count:
+                        raise ConfigError(f"class-sampled flavors carry count 0, got {count}")
                     flavor_classes[flavor_id] = rest[1]
             else:
                 raise ConfigError(f"unknown keyword {keyword!r}")

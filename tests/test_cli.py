@@ -1,12 +1,13 @@
 """CLI surface: subcommands, CSV schemas, manifests, exit codes, round-trips."""
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from apsr import ExperimentConfig, run_experiment
 from apsr.cli import ANALYZE_COLUMNS, TIMESERIES_COLUMNS, main
-from apsr.engine import _with_seed
 from oracles import scan_max_paral
 
 
@@ -86,8 +87,18 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         config = ExperimentConfig(**manifest["config"])
         run = manifest["runs"][0]
-        metrics = run_experiment(_with_seed(config, run["seed"]))
+        metrics = run_experiment(replace(config, seed=run["seed"]))
         assert metrics.to_dict() == run["metrics"]
+        assert set(run["metrics"]) == {
+            "slots", "attempts", "successes", "declines_no_host", "declines_collision",
+            "scheduler_queries", "controller_queries", "truncated",
+            "decline_ratio", "throughput", "mean_active",
+        }
+        rows = [line.split(",") for line in (out / "run_7.csv").read_text().splitlines()[1:]]
+        columns = [[float(v) if v else float("nan") for v in column] for column in zip(*rows)]
+        series = metrics.series
+        np.testing.assert_array_equal(columns, [getattr(series, c) for c in TIMESERIES_COLUMNS])
+        assert series.slot == list(range(metrics.slots))
 
     def test_reruns_are_byte_identical(self, tmp_path, small_config):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -119,6 +130,9 @@ class TestSimulate:
         table.write_text("resources cpu mem\nhost 1 1 1\nflavor 0.5 0.5 2\n")
         weightless = tmp_path / "weightless.txt"
         weightless.write_text("resources cpu mem\nhost 1 1 0\nflavor 0.5 0.5 2\n")
+        negative_class = tmp_path / "negative_class.txt"
+        negative_class.write_text("resources cpu mem\nhost 1 1 1\nclass small -5\n"
+                                  "flavor 0.1 0.1 0 small\nflavor 0.2 0.2 1\n")
         for name, text in [
             ("range", "preset = nfv\ndelta_hat = 2\n"),
             ("dataset", "dataset = azure\npolicy = ff\ns = 1\n"),
@@ -127,6 +141,10 @@ class TestSimulate:
             ("lifetime", "preset = nfv-mmpp\nlifetime = finite\n"),
             ("weight", f"dataset = {weightless}\nhosts = 3\npolicy = ff\ns = 1\n"),
             ("fixed-fleet", "preset = nfv\npolicy = ff\ns = 2\nestimator = oracle\nT = 1\n"),
+            ("poisson-mmpp", "preset = nfv\nmmpp_rate_low = 3\nmmpp_switch = 0.9\n"),
+            ("ff-rank", "preset = nfv\npolicy = ff\ns = 2\nlambda_rank = 3\n"
+                        "adaptive_threshold = 0.9\n"),
+            ("class-count", f"dataset = {negative_class}\nhosts = 4\npolicy = ff\ns = 1\n"),
         ]:
             path = tmp_path / f"{name}.cfg"
             path.write_text(text)
@@ -220,6 +238,15 @@ class TestSizeHosts:
         path.write_text("resources a b\nhost 1 1 1\nflavor 0.0000000001 0.5 1\n")
         assert run_cli("size-hosts", path, "--runs", 1) == 2
         assert capsys.readouterr().out == ""
+
+    def test_negative_class_count_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "negative.txt"
+        path.write_text("resources cpu mem\nhost 1 1 1\nclass small -5\n"
+                        "flavor 0.1 0.1 0 small\nflavor 0.2 0.2 1\n")
+        assert run_cli("size-hosts", path, "--runs", 1) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: negative:3: class counts must be >= 0, got -5\n"
 
     def test_flavor_no_host_shape_fits_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "unfit.txt"

@@ -53,14 +53,27 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("key, value", [
         ("estimator", "oracle"), ("period", 1), ("alpha", 0.5), ("delta_hat", 0.1), ("budget", 64),
+        ("mmpp_rate_low", 3.0), ("mmpp_switch", 0.9), ("lambda_rank", 3),
+        ("adaptive_threshold", 0.9),
     ])
     def test_fixed_fleet_rejects_controller_settings(self, key, value):
-        """A fixed fleet runs no controller, so a controller setting it would
-        only echo is an error; the default value is accepted."""
+        """An ff fleet on Poisson arrivals reads no controller, mmpp, lambda_rank
+        or adaptive_threshold setting, so one it would only echo is an error;
+        the default value is accepted."""
         with pytest.raises(ConfigError, match=key):
             make_config("nfv", policy="ff", schedulers=2, **{key: value})
         default = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}[key]
         make_config("nfv", policy="ff", schedulers=2, **{key: default})
+
+    @pytest.mark.parametrize("key, value, reader", [
+        ("estimator", "oracle", {}),
+        ("mmpp_rate_low", 3.0, dict(arrival="mmpp")),
+        ("lambda_rank", 3, dict(policy="ffr", schedulers=2)),
+        ("lambda_rank", 3, dict(policy="wfr", schedulers=2)),
+        ("adaptive_threshold", 0.9, dict(policy="adaptive", schedulers=2)),
+    ])
+    def test_conditional_settings_accepted_where_read(self, key, value, reader):
+        assert getattr(make_config("nfv", **reader, **{key: value}), key) == value
 
     def test_budget_forms(self):
         assert make_config(dataset="nfv", budget="50%", hosts=100).resolve_budget(100) == 50
@@ -78,8 +91,13 @@ class TestConfigValidation:
         ("lambda_d", 0.0), ("seed", -1),
     ])
     def test_out_of_range_numbers_rejected(self, key, value):
-        with pytest.raises(ConfigError, match=key):
-            make_config("nfv", **{key: value})
+        reader = {  # a config that reads the key, so its range check is what fails
+            "mmpp_rate_low": dict(arrival="mmpp"), "mmpp_switch": dict(arrival="mmpp"),
+            "lambda_rank": dict(policy="ffr", schedulers=2),
+            "adaptive_threshold": dict(policy="adaptive", schedulers=2),
+        }.get(key, {})
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            make_config("nfv", **reader, **{key: value})
 
     def test_mmpp_switch_point_checked_at_construction(self):
         with pytest.raises(ConfigError):
@@ -108,8 +126,9 @@ class TestSlotMechanics:
         )
         # the whole trace arrives in slot 0, so both requests are pending together
         sim.schedule = [len(sim.trace)]
-        sm = sim.run_slot()
-        assert (sm.attempts, sm.successes, sm.decline_collision) == (2, 1, 1)
+        sim.run_slot()
+        m = sim.metrics
+        assert (m.attempts, m.successes, m.declines_collision) == (2, 1, 1)
 
     def test_accounting_identity_every_slot(self):
         metrics = run_experiment(small_nfv(policy="wfr", schedulers=6, seed=3))
@@ -142,8 +161,9 @@ class TestSlotMechanics:
     def test_oracle_runs_record_no_counters(self):
         """An oracle tick reads the census alone, so its agents leave the counters empty."""
         sim = Simulation(small_nfv(estimator="oracle", period=1, seed=5))
-        attempts = sum(sim.run_slot().attempts for _ in range(5))
-        assert attempts > 0
+        for _ in range(5):
+            sim.run_slot()
+        assert sim.metrics.attempts > 0
         assert sim.controller.counters.availability_ratios() == {}
 
     def test_truncation_flag(self):

@@ -121,6 +121,17 @@ class TestIntegerUnits:
         with pytest.raises(ConfigError, match=f"^t:2: host weight must be >= 1, got {weight}$"):
             parse_dataset(text, "t")
 
+    def test_negative_class_count_rejected(self):
+        text = "resources cpu mem\nhost 1 1 1\nclass small -5\nflavor 0.1 0.1 0 small\n"
+        with pytest.raises(ConfigError, match="^t:3: class counts must be >= 0, got -5$"):
+            parse_dataset(text, "t")
+
+    def test_class_flavor_with_a_count_rejected(self):
+        """A class-sampled flavor is drawn within its class only, so it carries count 0."""
+        text = "resources cpu mem\nhost 1 1 1\nclass small 2\nflavor 0.1 0.1 3 small\n"
+        with pytest.raises(ConfigError, match="^t:4: class-sampled flavors carry count 0, got 3$"):
+            parse_dataset(text, "t")
+
     def test_nine_decimal_places_and_int64_edge_accepted(self):
         spec = parse_dataset(
             "resources a\nhost 9223372036.854775807 1\nflavor 0.000000001 1\n", "t"

@@ -1,17 +1,24 @@
 #!/usr/bin/env python3
-"""Check that two source trees write byte-identical `apsr simulate` outputs.
+"""Check that two source trees write byte-identical `apsr` outputs.
 
     python tools/same_outputs.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories holding the `apsr` package (a checkout's
-`src/`).  Each tree runs `apsr simulate --seeds 0,1,2` in its own Python
-subprocess for: the presets nfv, google, amazon and nfv-mmpp; nfv with the
-oracle estimator at T=1; nfv with a fixed fleet of s=10 under each of the
-seven snapshot policies; amazon (two host shapes) with s=10 under
-distfromdiag; and google (5,989 hosts) with s=10 under wf.  Prints
-"identical" when every `manifest.json` and `run_<seed>.csv` matches byte for
-byte and exits 0; otherwise prints the first differing file and exits 1.  Exit 2 means a tree could not run.  This is the
-check for changes that mean to keep how randomness is drawn.
+`src/`).  Each tree runs every case below in its own Python subprocess and
+keeps the command's stdout next to the files it writes:
+
+- `apsr simulate --seeds 0,1,2` for the presets nfv, google, amazon and
+  nfv-mmpp; nfv with the oracle estimator at T=1; nfv with a fixed fleet of
+  s=10 under each of the seven snapshot policies; amazon (two host shapes)
+  with s=10 under distfromdiag; and google (5,989 hosts) with s=10 under wf;
+- `apsr analyze -n 837 -B 837 --k-grid 0:837`;
+- `apsr size-hosts nfv --runs 2` and `apsr size-hosts amazon --runs 2`, with
+  their `--output` CSV.
+
+Prints "identical" when every output (each `manifest.json`, `run_<seed>.csv`,
+sizing CSV and stdout) matches byte for byte and exits 0; otherwise prints the
+first differing file and exits 1.  Exit 2 means a tree could not run.  This is
+the check for changes that mean to keep how randomness is drawn.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import tempfile
 from pathlib import Path
 
 SEEDS = "0,1,2"
+OUT = "{out}"  # replaced by the case's output directory
 CONFIGS = {
     "nfv": "nfv",
     "google": "google",
@@ -36,17 +44,28 @@ CONFIGS = {
     "amazon-distfromdiag-s10": "preset = amazon\npolicy = distfromdiag\ns = 10\n",
     "google-wf-s10": "preset = google\npolicy = wf\ns = 10\n",
 }
+COMMANDS = {
+    "analyze": ["analyze", "-n", "837", "-B", "837", "--k-grid", "0:837"],
+    **{
+        f"size-hosts-{dataset}": ["size-hosts", dataset, "--runs", "2",
+                                  "--output", f"{OUT}/sizing.csv"]
+        for dataset in ("nfv", "amazon")
+    },
+}
 
 
-def simulate(src: Path, config: str, out: Path) -> None:
+def run(src: Path, argv: list[str], out: Path) -> None:
+    """Run `apsr argv` from tree src; its files and stdout land in out."""
+    out.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(src))  # ahead of any installed apsr
-    command = [sys.executable, "-m", "apsr.cli", "simulate", config, "--seeds", SEEDS,
-               "--out", str(out)]
-    done = subprocess.run(command, env=env, capture_output=True, text=True)
+    argv = [a.replace(OUT, str(out)) for a in argv]
+    done = subprocess.run([sys.executable, "-m", "apsr.cli", *argv], env=env,
+                          capture_output=True, text=True)
     if done.returncode != 0:
-        print(f"error: {src}: apsr simulate {config} exited {done.returncode}\n{done.stderr}",
+        print(f"error: {src}: apsr {' '.join(argv)} exited {done.returncode}\n{done.stderr}",
               file=sys.stderr)
         sys.exit(2)
+    (out / "stdout").write_text(done.stdout)
 
 
 def main(argv: list[str]) -> int:
@@ -60,14 +79,18 @@ def main(argv: list[str]) -> int:
             return 2
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
+        cases = {}
         for name, config in CONFIGS.items():
             if "\n" in config:
                 path = tmp / f"{name}.cfg"
                 path.write_text(config)
                 config = str(path)
+            cases[name] = ["simulate", config, "--seeds", SEEDS, "--out", OUT]
+        cases.update(COMMANDS)
+        for name, case in cases.items():
             outs = [tmp / side / name for side in ("old", "new")]
             for src, out in zip(trees, outs):
-                simulate(src, config, out)
+                run(src, case, out)
             files = sorted({p.name for out in outs for p in out.iterdir()})
             for file in files:
                 old, new = (out / file for out in outs)
