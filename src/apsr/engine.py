@@ -5,11 +5,11 @@ Each slot proceeds in a fixed order: departures, arrivals, controller tick (on
 period boundaries), scheduler decisions, randomized resolution, metrics.  Every
 scheduler reads one shared view of the start-of-slot snapshot.  A deterministic
 kind (ff, wf, adaptive, distfromdiag) decides once per distinct demand per slot;
-the random, ffr and wfr schedulers and the sampling agents each own an RNG
-stream derived from (run seed, slot, scheduler index), so decisions are
-independent of the order schedulers are evaluated in.  Chosen assignments are
-then resolved against the live state in a uniformly random order; an
-assignment fails if its host can no longer take the request at its turn.
+the random, ffr and wfr schedulers and the sampling agents each own the stream
+SeedSequence((seed, 3, slot, i)), so no decision depends on the order they are
+evaluated in.  Assignments then resolve against the live state in the random
+order of SeedSequence((seed, 4, slot)); one fails if its host can no longer take
+its request.  Streams are hashed 32 slots at a time and set on reused generators.
 Declined requests are not re-queued: each request gets a single placement
 attempt, in trace order, so the pending queue is the slice of the trace that
 has arrived but not been attempted.  Departures draw positions in the cluster
@@ -46,6 +46,38 @@ _READ_WHEN = {
     "lambda_rank": ("policy", ("ffr", "wfr")),
     "adaptive_threshold": ("policy", ("adaptive",)),
 }
+
+
+def _seed_states(key: list) -> np.ndarray:
+    """``SeedSequence(key).generate_state(4, np.uint64)`` of many keys at once.  ``key``
+    holds ints, split into uint32 words as numpy does, and arrays of one-word values."""
+    words = [w for part in key for w in ([part] if isinstance(part, np.ndarray) else
+             [part >> b & 0xFFFFFFFF for b in range(0, max(int(part).bit_length(), 1), 32)])]
+    words = np.broadcast_arrays(*(np.atleast_1d(w).astype(np.uint32) for w in words))
+    consts = {0x931E8875: 0x43B0D7E5, 0x58F38DED: 0x8B51F9DD}  # multiplier: hash constant
+    def hashmix(value, mult=0x931E8875):  # each call advances its multiplier's constant
+        value = value ^ consts[mult]
+        consts[mult] = consts[mult] * mult & 0xFFFFFFFF
+        return (value := value * consts[mult]) ^ value >> 16
+    pool = [hashmix(words[i] if i < len(words) else 0 * words[0]) for i in range(4)]
+    # mix each pool word into the other three, then each word past the pool's 4 into all
+    for src, dst in [(s, d) for s in range(max(len(words), 4)) for d in range(4) if s != d]:
+        mixed = pool[dst] * 0xCA01F9DD - hashmix(pool[src] if src < 4 else words[src]) * 0x4973F715
+        pool[dst] = mixed ^ mixed >> 16
+    state = [hashmix(pool[j % 4], 0x58F38DED) for j in range(8)]  # generate_state's 8 words
+    return np.stack(state, axis=-1, dtype="<u4").view("<u8")  # little-endian pairs, as numpy
+
+
+def _pcg64_streams(generators: list, seed_states: np.ndarray) -> list[np.random.Generator]:
+    """``generators``, grown as needed, each put in the state PCG64 seeds from a row of
+    ``_seed_states``: inc = 2·seq + 1, an LCG step from 0, plus the state, another step."""
+    generators += [np.random.default_rng(0) for _ in seed_states[len(generators):]]
+    for generator, (state_hi, state_lo, seq_hi, seq_lo) in zip(generators, seed_states.tolist()):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & (1 << 128) - 1
+        state = ((state_hi << 64 | state_lo) + inc) * 0x2360ED051FC65DA44385DF649FCCF645 + inc
+        generator.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                         "state": {"state": state & (1 << 128) - 1, "inc": inc}}
+    return generators[:len(seed_states)]
 
 
 @dataclass
@@ -93,7 +125,7 @@ class ExperimentConfig:
             ("replicas", self.replicas >= 1, ">= 1"),
             ("hosts", self.hosts is None or self.hosts >= 1, ">= 1"),
             ("seed", self.seed >= 0, ">= 0"),
-            ("max_slots", self.max_slots >= 1, ">= 1"),
+            ("max_slots", 1 <= self.max_slots <= 2**32, "in [1, 2^32]"),  # a slot is one word
             ("lambda_d", self.lambda_d is None or self.lambda_d > 0, "> 0"),
             ("delta_hat", 0.0 <= self.delta_hat <= 1.0, "in [0, 1]"),
             ("alpha", 0.0 < self.alpha <= 1.0, "in (0, 1]"),
@@ -269,6 +301,19 @@ class Simulation:
         self._arrived = self._attempted = 0  # trace[_attempted:_arrived] is pending
         self._host_ids = np.arange(self.state.n)
         self._rng_departures = np.random.default_rng((config.seed, _DEPARTURES))
+        self._keys, self._rngs = {}, []  # slot -> (agents', resolve seed states); generators
+
+    def _streams(self, slot: int, indices: list[int] | None) -> list[np.random.Generator]:
+        """Reused generators drawing as ``default_rng((seed, _SCHEDULER, slot, i))`` per i, or
+        (seed, _RESOLVE, slot) for None; hashed 32 slots at once, again from a wider slot."""
+        width = 0 if indices is None else max(indices) + 1
+        if slot not in self._keys or width > len(self._keys[slot][0]):
+            seed, slots = self.config.seed, np.arange(slot, slot + 32)  # past 2^32 - 1: unread
+            agents = _seed_states([seed, _SCHEDULER, slots[:, None], np.arange(width)])
+            resolves = _seed_states([seed, _RESOLVE, slots])
+            self._keys = dict(zip(slots.tolist(), zip(agents, resolves)))
+        agents, resolve = self._keys[slot]
+        return _pcg64_streams(self._rngs, resolve[None] if indices is None else agents[indices])
 
     def _process_departures(self) -> None:
         resident = self.state.resident_ids
@@ -299,11 +344,11 @@ class Simulation:
             demands = {r.flavor.demand: r for _, r in pairs}  # one request per demand
             picks = {demand: choose(self.policy, view, r, None) for demand, r in demands.items()}
             return [picks[r.flavor.demand] for _, r in pairs]
-        streams = [np.random.default_rng((self.config.seed, _SCHEDULER, slot, i)) for i, _ in pairs]
-        if self.policy.kind != "apsr":
-            return [choose(self.policy, view, r, rng) for (_, r), rng in zip(pairs, streams)]
         if not pairs:
             return []
+        streams = self._streams(slot, [i for i, _ in pairs])
+        if self.policy.kind != "apsr":
+            return [choose(self.policy, view, r, rng) for (_, r), rng in zip(pairs, streams)]
         n, d = self.state.n, self.controller.d
         rows = np.array([rng.integers(0, n, size=d) for rng in streams])
         fits = np.array([view.fit_mask(r.flavor.demand)[row] for row, (_, r) in zip(rows, pairs)])
@@ -340,7 +385,7 @@ class Simulation:
         targets = self.decide(view, slot, enumerate(requests))
         queried = self.controller.d if self.policy.kind == "apsr" else state.n
 
-        order = np.random.default_rng((config.seed, _RESOLVE, slot)).permutation(active)
+        order = self._streams(slot, None)[0].permutation(active)  # decide is done with [0]
         successes = no_host = collisions = 0
         for j in order:
             request, target = requests[j], targets[j]

@@ -145,6 +145,7 @@ class TestSimulate:
             ("ff-rank", "preset = nfv\npolicy = ff\ns = 2\nlambda_rank = 3\n"
                         "adaptive_threshold = 0.9\n"),
             ("class-count", f"dataset = {negative_class}\nhosts = 4\npolicy = ff\ns = 1\n"),
+            ("max-slots", "preset = nfv\nmax_slots = 4294967297\n"),  # 2^32 + 1
         ]:
             path = tmp_path / f"{name}.cfg"
             path.write_text(text)

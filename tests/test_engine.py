@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import apsr.engine
 from apsr import (
@@ -15,6 +17,7 @@ from apsr import (
     make_config,
     run_experiment,
 )
+from apsr.engine import _pcg64_streams, _seed_states
 from oracles import replay_sampling_decisions
 
 
@@ -88,7 +91,7 @@ class TestConfigValidation:
         ("delta_hat", 2.0), ("delta_hat", -0.1), ("alpha", 0.0), ("alpha", 1.5),
         ("period", 0), ("lambda_a", 0.0), ("mmpp_rate_low", -1.0), ("mmpp_switch", 1.2),
         ("lambda_rank", 0), ("adaptive_threshold", 1.5), ("delta_hat", float("nan")),
-        ("lambda_d", 0.0), ("seed", -1),
+        ("lambda_d", 0.0), ("seed", -1), ("max_slots", 0), ("max_slots", 2**32 + 1),
     ])
     def test_out_of_range_numbers_rejected(self, key, value):
         reader = {  # a config that reads the key, so its range check is what fails
@@ -98,6 +101,10 @@ class TestConfigValidation:
         }.get(key, {})
         with pytest.raises(ConfigError, match=f"^{key} must be"):
             make_config("nfv", **reader, **{key: value})
+
+    def test_max_slots_reaches_one_slot_word(self):
+        """A slot stays one uint32 word of a stream key: slots 0 to 2^32 - 1."""
+        assert make_config("nfv", max_slots=2**32).max_slots == 2**32
 
     def test_mmpp_switch_point_checked_at_construction(self):
         with pytest.raises(ConfigError):
@@ -258,6 +265,86 @@ class TestSamplingDecisions:
         assert any(len(pairs) >= 2 for _, _, pairs, _, _ in checked)
         for available, slot, pairs, d, targets in checked:
             assert targets == replay_sampling_decisions(5, slot, pairs, available, d)
+
+
+class TestStreamBlocks:
+    """Stream keys are hashed for a block of slots at once and set on reused
+    generators; every stream still draws exactly as a fresh ``default_rng(key)``."""
+
+    @given(seed=st.integers(0, 2**96 - 1), tag=st.sampled_from([3, 4]),
+           slot=st.integers(0, 2**32 - 1), index=st.none() | st.integers(0, 2**16 - 1),
+           n=st.integers(1, 10**6), d=st.integers(1, 64), c=st.integers(1, 1000),
+           m=st.integers(0, 64))
+    def test_set_generators_draw_as_default_rng(self, seed, tag, slot, index, n, d, c, m):
+        key = (seed, tag, slot) if index is None else (seed, tag, slot, index)
+        states = _seed_states(list(key))
+        assert states.tolist() == [np.random.SeedSequence(key).generate_state(4, np.uint64).tolist()]
+        used = np.random.default_rng(1)
+        used.integers(0, 9, 3, dtype=np.uint32)  # leaves a buffered 32-bit half behind
+        (ours,) = _pcg64_streams([used], states)
+        fresh = np.random.default_rng(key)
+        assert ours.integers(0, n, d).tolist() == fresh.integers(0, n, d).tolist()
+        assert ours.integers(c) == fresh.integers(c)
+        assert ours.permutation(m).tolist() == fresh.permutation(m).tolist()
+
+    @staticmethod
+    def spy_hashes(monkeypatch):
+        """(first slot, width) of every hash of agent keys during a run."""
+        hashes = []
+
+        def spy(key):
+            if len(key) == 4:
+                hashes.append((int(key[2].min()), len(key[3])))
+            return _seed_states(key)
+
+        monkeypatch.setattr(apsr.engine, "_seed_states", spy)
+        return hashes
+
+    @staticmethod
+    def spy_decisions(sim, reference):
+        """Each non-empty decide call's targets with ``reference(view, slot, pairs)``'s."""
+        seen = []
+
+        def spy(view, slot, pairs):
+            pairs = list(pairs)
+            targets = Simulation.decide(sim, view, slot, pairs)
+            if pairs:
+                seen.append((targets, reference(view, slot, pairs)))
+            return targets
+
+        sim.decide = spy
+        return seen
+
+    @staticmethod
+    def assert_blocks_cross_and_regrow(hashes):
+        assert any(first >= 32 for first, _ in hashes)  # past the first 32-slot block
+        # a slot wider than its block re-hashed before the block ran out
+        assert any(b[0] - a[0] < 32 and b[1] > a[1] for a, b in zip(hashes, hashes[1:]))
+
+    def test_apsr_blocks_match_plain_replay(self, monkeypatch):
+        hashes = self.spy_hashes(monkeypatch)
+        sim = Simulation(small_nfv(lambda_a=3.0, seed=5))  # few arrivals: widths vary
+        seen = self.spy_decisions(sim, lambda view, slot, pairs: replay_sampling_decisions(
+            5, slot, pairs, view.available.tolist(), sim.controller.d))
+        sim.run()
+        self.assert_blocks_cross_and_regrow(hashes)
+        assert len(seen) >= 64
+        for targets, replayed in seen:
+            assert targets == replayed
+
+    def test_random_blocks_match_per_key_streams(self, monkeypatch):
+        hashes = self.spy_hashes(monkeypatch)
+        sim = Simulation(small_nfv(replicas=3, policy="random", schedulers=40, seed=5))
+        seen = self.spy_decisions(sim, lambda view, slot, pairs: [
+            choose(sim.policy, view, r, np.random.default_rng((5, 3, slot, i))) for i, r in pairs])
+        sim.run()
+        self.assert_blocks_cross_and_regrow(hashes)
+        assert len(seen) == sim.metrics.slots >= 40
+        for targets, replayed in seen:
+            assert targets == replayed
+        for slot in range(sim.metrics.slots):  # the resolution order's stream, slot by slot
+            order = sim._streams(slot, None)[0].permutation(40)
+            assert order.tolist() == np.random.default_rng((5, 4, slot)).permutation(40).tolist()
 
 
 class TestDeterministicDecisions:

@@ -11,6 +11,9 @@ keeps the command's stdout next to the files it writes:
   nfv-mmpp; nfv with the oracle estimator at T=1; nfv with a fixed fleet of
   s=10 under each of the seven snapshot policies; amazon (two host shapes)
   with s=10 under distfromdiag; and google (5,989 hosts) with s=10 under wf;
+- `apsr simulate --seeds 4294967301,18446744073709551623` (2^32 + 5 and
+  2^64 + 7, seeds of two and three 32-bit words) for nfv and for nfv with a
+  fixed fleet of s=10 under random;
 - `apsr analyze -n 837 -B 837 --k-grid 0:837`;
 - `apsr size-hosts nfv --runs 2` and `apsr size-hosts amazon --runs 2`, with
   their `--output` CSV.
@@ -30,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 SEEDS = "0,1,2"
+BIG_SEEDS = "4294967301,18446744073709551623"  # stream keys longer than the 4-word pool
 OUT = "{out}"  # replaced by the case's output directory
 CONFIGS = {
     "nfv": "nfv",
@@ -86,6 +90,8 @@ def main(argv: list[str]) -> int:
                 path.write_text(config)
                 config = str(path)
             cases[name] = ["simulate", config, "--seeds", SEEDS, "--out", OUT]
+            if name in ("nfv", "nfv-random-s10"):
+                cases[f"{name}-big-seeds"] = ["simulate", config, "--seeds", BIG_SEEDS, "--out", OUT]
         cases.update(COMMANDS)
         for name, case in cases.items():
             outs = [tmp / side / name for side in ("old", "new")]
