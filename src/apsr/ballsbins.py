@@ -143,14 +143,16 @@ def pick_distinct(draws: np.ndarray, sentinel: int, rank) -> np.ndarray:
     return picks.reshape(distinct.shape)
 
 
-def simulate_balls_and_bins(
-    params: BallsBinsParams, trials: int, seed, chunk: int = 16384
-) -> SimulationResult:
+#: Trials the Monte-Carlo game draws at once; the draws depend on it.
+CHUNK = 16384
+
+
+def simulate_balls_and_bins(params: BallsBinsParams, trials: int, seed) -> SimulationResult:
     """Play the sampling game ``trials`` times with a seeded generator.
 
-    Vectorized over trials: each agent picks through ``pick_distinct`` with a
-    uniform rank per agent.  A bin selected by one or more potentially happy
-    agents produces exactly one happy agent.
+    Vectorized over ``CHUNK`` trials at a time: each agent picks through
+    ``pick_distinct`` with a uniform rank per agent.  A bin selected by one or
+    more potentially happy agents produces exactly one happy agent.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -165,7 +167,7 @@ def simulate_balls_and_bins(
     happy_sq_total = 0
     done = 0
     while done < trials:
-        m = min(chunk, trials - done)
+        m = min(CHUNK, trials - done)
         vals = rng.integers(0, n, size=(m, s, d))
         vals[vals >= k] = k  # unavailable draws share the sentinel k
         selected = pick_distinct(

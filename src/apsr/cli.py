@@ -8,9 +8,10 @@ Subcommands
     datasets    list the embedded request-mix tables
 
 Config files are flat ``key = value`` text ('#' starts a comment).  Recognized
-keys: dataset, replicas, hosts, preset, policy, s, delta_hat, budget, T, alpha,
-estimator, lambda_a, lambda_d, seed, max_slots, arrival, mmpp_rate_low,
-mmpp_switch, lambda_rank, adaptive_threshold.
+keys: preset and every ExperimentConfig field (dataset, replicas, hosts, policy,
+s, delta_hat, budget, T, alpha, estimator, lambda_a, arrival, lambda_d, seed,
+max_slots), with s and T short for schedulers and period; each value is read as
+its field's type.
 
 Exit codes: 0 success, 2 usage or config error, 3 runtime error.  Results go
 to files or stdout; progress goes to stderr.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -85,9 +87,20 @@ def _parse_grid(text: str, n: int) -> list[int]:
 # -- config files -----------------------------------------------------------
 
 _KEY_ALIASES = {"s": "schedulers", "T": "period"}
-_INT_KEYS = {"replicas", "hosts", "schedulers", "period", "lambda_rank", "seed", "max_slots"}
-_FLOAT_KEYS = {"delta_hat", "alpha", "lambda_a", "lambda_d", "mmpp_rate_low",
-               "mmpp_switch", "adaptive_threshold"}
+#: each field's value types, tried in order: int | str reads "60%" as a string
+_KEY_TYPES = {name: [t for t in typing.get_args(hint) or (hint,) if t is not type(None)]
+              for name, hint in typing.get_type_hints(ExperimentConfig).items()}
+
+
+def _parse_value(key: str, value: str):
+    """``value`` as the first of ``key``'s field types it parses as; an unknown key
+    stays a string, for ``make_config`` to reject."""
+    for kind in _KEY_TYPES.get(key, [str]):
+        try:
+            return kind(value)
+        except ValueError:
+            pass
+    raise ValueError(value)
 
 
 def _parse_config_file(path: Path) -> tuple[str | None, dict]:
@@ -105,14 +118,7 @@ def _parse_config_file(path: Path) -> tuple[str | None, dict]:
             preset = value
             continue
         try:
-            if key in _INT_KEYS:
-                overrides[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                overrides[key] = float(value)
-            elif key == "budget":
-                overrides[key] = value if value.endswith("%") else int(value)
-            else:
-                overrides[key] = value
+            overrides[key] = _parse_value(key, value)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
     return preset, overrides

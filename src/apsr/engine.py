@@ -28,6 +28,7 @@ from .controller import ESTIMATOR_MODES, ApsrController
 from .core import ClusterState, ConfigError, Request
 from .policies import DETERMINISTIC_KINDS, HostView, PolicyConfig, choose
 from .workload import (
+    MAX_RATE,
     ArrivalProcess,
     build_arrivals,
     build_trace,
@@ -38,14 +39,9 @@ from .workload import (
 
 # seed sub-stream tags
 _TRACE, _ARRIVALS, _DEPARTURES, _SCHEDULER, _RESOLVE = range(5)
-#: ExperimentConfig fields read only when another field takes one of some
-#: values; set away from its default otherwise, a field would only be echoed
-_READ_WHEN = {
-    **dict.fromkeys(("delta_hat", "budget", "period", "alpha", "estimator"), ("policy", ("apsr",))),
-    **dict.fromkeys(("mmpp_rate_low", "mmpp_switch"), ("arrival", ("mmpp",))),
-    "lambda_rank": ("policy", ("ffr", "wfr")),
-    "adaptive_threshold": ("policy", ("adaptive",)),
-}
+#: ExperimentConfig fields only the controller reads; set away from its default
+#: under any policy but "apsr", a field would only be echoed
+_CONTROLLER_SETTINGS = ("delta_hat", "budget", "period", "alpha", "estimator")
 
 
 def _seed_states(key: list) -> np.ndarray:
@@ -96,24 +92,19 @@ class ExperimentConfig:
     estimator: str = "min"
     lambda_a: float = 20.0
     arrival: str = "poisson"
-    mmpp_rate_low: float = 5.0
-    mmpp_switch: float = 0.2
     lambda_d: float | None = None  # mean departures per slot; None: requests never depart
-    lambda_rank: int = 5
-    adaptive_threshold: float = 0.6
     seed: int = 0
     max_slots: int = 1_000_000
 
     def __post_init__(self):
-        PolicyConfig(self.policy, self.lambda_rank, self.adaptive_threshold)  # checks all three
+        PolicyConfig(self.policy)  # checks the kind
         if (self.policy == "apsr") == (self.schedulers is not None):
             raise ConfigError("policy 'apsr' takes no schedulers; every other policy needs them")
         defaults = {f.name: f.default for f in fields(self)}
-        unread = [f"{name} (read only when {key} is {' or '.join(values)})"
-                  for name, (key, values) in _READ_WHEN.items()
-                  if getattr(self, name) != defaults[name] and getattr(self, key) not in values]
-        if unread:
-            raise ConfigError(f"this run never reads {', '.join(unread)}")
+        unread = [name for name in _CONTROLLER_SETTINGS if getattr(self, name) != defaults[name]]
+        if self.policy != "apsr" and unread:
+            raise ConfigError(f"this run never reads {', '.join(unread)} "
+                              "(read only when policy is apsr)")
         if self.estimator not in ESTIMATOR_MODES:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if isinstance(self.budget, str):
@@ -126,20 +117,16 @@ class ExperimentConfig:
             ("hosts", self.hosts is None or self.hosts >= 1, ">= 1"),
             ("seed", self.seed >= 0, ">= 0"),
             ("max_slots", 1 <= self.max_slots <= 2**32, "in [1, 2^32]"),  # a slot is one word
-            ("lambda_d", self.lambda_d is None or self.lambda_d > 0, "> 0"),
+            ("lambda_d", self.lambda_d is None or 0 < self.lambda_d <= MAX_RATE,
+             f"in (0, {MAX_RATE:g}]"),
             ("delta_hat", 0.0 <= self.delta_hat <= 1.0, "in [0, 1]"),
             ("alpha", 0.0 < self.alpha <= 1.0, "in (0, 1]"),
             ("period", self.period >= 1, ">= 1"),
-            ("lambda_a", self.lambda_a > 0, "> 0"),
-            ("mmpp_rate_low", self.mmpp_rate_low > 0, "> 0"),
-            ("mmpp_switch", 0.0 <= self.mmpp_switch <= 1.0, "in [0, 1]"),
+            ("lambda_a", 0 < self.lambda_a <= MAX_RATE, f"in (0, {MAX_RATE:g}]"),
         ):
             if not ok:
                 raise ConfigError(f"{name} must be {bound}, got {getattr(self, name)!r}")
-        self.arrival_process()  # the process checks its kind and the mmpp switch point
-
-    def arrival_process(self) -> ArrivalProcess:
-        return ArrivalProcess(self.arrival, self.lambda_a, self.mmpp_rate_low, self.mmpp_switch)
+        ArrivalProcess(self.arrival, self.lambda_a)  # checks the kind
 
     def resolve_budget(self, n: int) -> int:
         if self.budget is None:
@@ -169,16 +156,7 @@ PRESETS: dict[str, dict] = {
     "google": dict(dataset="google", replicas=1, hosts=5989),
     "amazon": dict(dataset="amazon", replicas=7, hosts=876),
     # saturated cloud with rate-switching arrivals and Poisson departures
-    "nfv-mmpp": dict(
-        dataset="nfv",
-        replicas=100,
-        hosts=837,
-        arrival="mmpp",
-        lambda_a=20.0,
-        mmpp_rate_low=5.0,
-        mmpp_switch=0.2,
-        lambda_d=4.0,
-    ),
+    "nfv-mmpp": dict(dataset="nfv", replicas=100, hosts=837, arrival="mmpp", lambda_d=4.0),
 }
 
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
@@ -282,15 +260,12 @@ class Simulation:
         self.budget = config.resolve_budget(self.state.n)
         self.trace = build_trace(self.dataset, config.replicas, (config.seed, _TRACE))
         self.schedule = (
-            build_arrivals(config.arrival_process(), len(self.trace), (config.seed, _ARRIVALS))
+            build_arrivals(ArrivalProcess(config.arrival, config.lambda_a), len(self.trace),
+                           (config.seed, _ARRIVALS))
             if self.trace
             else []
         )
-        self.policy = PolicyConfig(
-            config.policy,
-            lambda_rank=config.lambda_rank,
-            adaptive_threshold=config.adaptive_threshold,
-        )
+        self.policy = PolicyConfig(config.policy)
         self.controller = None
         if config.policy == "apsr":
             self.controller = ApsrController(self.state.n, config.delta_hat, self.budget,

@@ -7,7 +7,9 @@ to the least id.  The sampling agent ("apsr") is configured here too, but it
 decides on a d-host sample, which the engine draws and resolves with the
 Monte-Carlo game's kernel (``ballsbins.pick_distinct``).  Policies are
 stateless; all randomness flows through the generator passed to ``choose``,
-and the deterministic kinds never touch it.
+and the deterministic kinds never touch it.  ffr and wfr pick uniformly among
+their first ``LAMBDA_RANK`` fitting hosts; adaptive acts as wf while the mean
+host load is below ``ADAPTIVE_THRESHOLD`` and as ff from there on.
 """
 
 from __future__ import annotations
@@ -26,22 +28,19 @@ POLICY_KINDS = FULL_SNAPSHOT_KINDS + ("apsr",)
 #: Kinds whose choice never draws randomness; ``choose`` accepts rng=None for them.
 DETERMINISTIC_KINDS = ("ff", "wf", "adaptive", "distfromdiag")
 
+#: Candidate-set size of ffr and wfr.
+LAMBDA_RANK = 5
+#: Mean host load from which adaptive switches from wf to ff.
+ADAPTIVE_THRESHOLD = 0.6
+
 
 @dataclass(frozen=True)
 class PolicyConfig:
     kind: str
-    lambda_rank: int = 5  # candidate-set size for ffr/wfr
-    adaptive_threshold: float = 0.6
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ConfigError(f"unknown policy kind {self.kind!r}; valid: {POLICY_KINDS}")
-        if self.lambda_rank < 1:
-            raise ConfigError(f"lambda_rank must be >= 1, got {self.lambda_rank}")
-        if not 0.0 <= self.adaptive_threshold <= 1.0:
-            raise ConfigError(
-                f"adaptive_threshold must be in [0, 1], got {self.adaptive_threshold}"
-            )
 
 
 @dataclass
@@ -113,21 +112,21 @@ def choose(
     ids = view.ids[mask]
     kind = policy.kind
     if kind == "adaptive":  # view.loads() also rejects zero-capacity coordinates
-        kind = "wf" if float(view.loads().mean()) < policy.adaptive_threshold else "ff"
+        kind = "wf" if float(view.loads().mean()) < ADAPTIVE_THRESHOLD else "ff"
     if kind == "ff":
         return int(ids.min())
     if kind == "random":
         return int(ids[rng.integers(ids.size)])
     if kind == "ffr":
-        candidates = np.sort(ids)[: policy.lambda_rank]
+        candidates = np.sort(ids)[:LAMBDA_RANK]
         return int(candidates[rng.integers(candidates.size)])
 
     loads = view.loads()  # rejects zero-capacity coordinates for every kind below
     if kind == "wf":
         return _least(loads[mask], ids)
     if kind == "wfr":
-        # rank by (load, id), then pick uniformly among the top lambda_rank
-        candidates = ids[np.lexsort((ids, loads[mask]))][: policy.lambda_rank]
+        # rank by (load, id), then pick uniformly among the top LAMBDA_RANK
+        candidates = ids[np.lexsort((ids, loads[mask]))][:LAMBDA_RANK]
         return int(candidates[rng.integers(candidates.size)])
     # distfromdiag: prefer the host whose usage fractions after a hypothetical
     # placement stay closest to the diagonal (equal use of every resource).

@@ -16,7 +16,11 @@ replica.  The final trace order is a uniform shuffle under the seed.
 
 Host and flavor values are read as exact decimals.  With p the most decimal
 places of any of them (at most 9), they are stored as integers in units of
-10^-p, so all resource arithmetic downstream is exact.
+10^-p, so all resource arithmetic downstream is exact.  Every host capacity
+coordinate must be positive, since a host's load divides by it.
+
+Arrivals per slot are Poisson at a set rate; under "mmpp" the rate drops to
+``MMPP_RATE_LOW`` once ``MMPP_SWITCH`` of the trace has arrived.
 """
 
 from __future__ import annotations
@@ -40,6 +44,13 @@ DEFAULT_FLEETS = {"nfv": 837, "amazon": 876, "google": 5989}
 #: Most decimal places a table value may have; 10^-9 units keep realistic
 #: capacities far inside int64.
 MAX_DECIMALS = 9
+
+#: Highest arrival or departure rate per slot: numpy's Poisson sampler refuses
+#: rates past int64's maximum less ten standard deviations (about 9.22e18).
+MAX_RATE = 9.2e18
+#: The mmpp process's rate once ``MMPP_SWITCH`` of the trace has arrived.
+MMPP_RATE_LOW = 5.0
+MMPP_SWITCH = 0.2
 
 
 @dataclass(frozen=True)
@@ -93,7 +104,10 @@ def parse_dataset(text: str, name: str) -> DatasetSpec:
                 weight = int(args[-1])
                 if weight < 1:
                     raise ConfigError(f"host weight must be >= 1, got {weight}")
-                host_shapes.append((_amounts(args[:-1]), weight))
+                capacity = _amounts(args[:-1])
+                if not all(capacity):
+                    raise ConfigError(f"host capacity coordinates must be positive, got {raw!r}")
+                host_shapes.append((capacity, weight))
             elif keyword == "class":
                 count = int(args[1])
                 if count < 0:
@@ -227,23 +241,16 @@ def build_trace(spec: DatasetSpec, replicas: int, seed) -> list[Request]:
 @dataclass(frozen=True)
 class ArrivalProcess:
     """Per-slot arrival counts: plain Poisson, or rate-switching Poisson that
-    drops from `rate` to `rate_low` once `switch_fraction` of the trace arrived."""
+    drops from `rate` to ``MMPP_RATE_LOW`` once ``MMPP_SWITCH`` of the trace arrived."""
 
     kind: str  # "poisson" | "mmpp"
     rate: float
-    rate_low: float | None = None
-    switch_fraction: float = 0.2
 
     def __post_init__(self):
         if self.kind not in ("poisson", "mmpp"):
             raise ConfigError(f"unknown arrival process {self.kind!r}")
-        if not self.rate > 0:
-            raise ConfigError(f"arrival rate must be positive, got {self.rate}")
-        if self.kind == "mmpp":
-            if self.rate_low is None or not self.rate_low > 0:
-                raise ConfigError("mmpp needs a positive low rate")
-            if not 0.0 < self.switch_fraction < 1.0:
-                raise ConfigError("mmpp switch fraction must be in (0, 1)")
+        if not 0 < self.rate <= MAX_RATE:
+            raise ConfigError(f"arrival rate must be in (0, {MAX_RATE:g}], got {self.rate}")
 
 
 def build_arrivals(process: ArrivalProcess, trace_length: int, seed) -> list[int]:
@@ -255,8 +262,8 @@ def build_arrivals(process: ArrivalProcess, trace_length: int, seed) -> list[int
     arrived = 0
     while arrived < trace_length:
         rate = process.rate
-        if process.kind == "mmpp" and arrived >= process.switch_fraction * trace_length:
-            rate = process.rate_low
+        if process.kind == "mmpp" and arrived >= MMPP_SWITCH * trace_length:
+            rate = MMPP_RATE_LOW
         c = min(int(rng.poisson(rate)), trace_length - arrived)
         counts.append(c)
         arrived += c

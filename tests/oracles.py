@@ -142,19 +142,19 @@ def replay_sampling_decisions(seed: int, slot: int, pairs, available, d: int):
     return targets
 
 
-def reference_choice(kind, ids, available, capacity, demand, adaptive_threshold=0.6):
+def reference_choice(kind, ids, available, capacity, demand):
     """The host a deterministic snapshot policy picks, by a plain loop.
 
     Returns the least (key, id) among hosts that pass ``core.fits``, or None
     when none does.  Keys: ff 0; wf the host load (the worst per-resource
     used fraction); adaptive the wf key while the mean load over all hosts is
-    below the threshold, else the ff key; distfromdiag the squared distance of
+    below 0.6, else the ff key; distfromdiag the squared distance of
     the post-placement usage fractions from their mean, as an exact fraction,
     so exactly tied hosts fall to the least id.
     """
     loads = [max((c - a) / c for c, a in zip(cap, avail)) for cap, avail in zip(capacity, available)]
     if kind == "adaptive":
-        kind = "wf" if sum(loads) / len(loads) < adaptive_threshold else "ff"
+        kind = "wf" if sum(loads) / len(loads) < 0.6 else "ff"
     best = None
     for host, cap, avail, load in zip(ids, capacity, available, loads):
         if not fits(demand, avail):

@@ -15,6 +15,7 @@ from apsr import (
     sigma,
     simulate_balls_and_bins,
 )
+from apsr.ballsbins import CHUNK
 from oracles import (
     direct_expected_happy,
     enumerated_expected_happy,
@@ -170,9 +171,9 @@ class TestSimulation:
 
     @pytest.mark.parametrize("n, k, s, d", [(12, 5, 4, 3), (6, 6, 3, 2), (20, 1, 5, 4), (9, 4, 1, 1)])
     def test_totals_match_plain_replay_of_the_draws(self, n, k, s, d):
-        # 2,500 trials in chunks of 700 also covers a short last chunk
-        result = simulate_balls_and_bins(BallsBinsParams(n, k, s, d), 2_500, (n, k), chunk=700)
-        ph, happy, happy_sq, counts = replay_balls_and_bins(n, k, s, d, 2_500, (n, k), 700)
+        trials = CHUNK + 700  # a full chunk, then a short last one
+        result = simulate_balls_and_bins(BallsBinsParams(n, k, s, d), trials, (n, k))
+        ph, happy, happy_sq, counts = replay_balls_and_bins(n, k, s, d, trials, (n, k), CHUNK)
         assert (result.potentially_happy_total, result.happy_total, result.happy_sq_total) == (
             ph, happy, happy_sq)
         assert result.selection_counts.tolist() == counts

@@ -1,13 +1,13 @@
 """CLI surface: subcommands, CSV schemas, manifests, exit codes, round-trips."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from apsr import ExperimentConfig, run_experiment
-from apsr.cli import ANALYZE_COLUMNS, TIMESERIES_COLUMNS, main
+from apsr import ExperimentConfig, make_config, run_experiment
+from apsr.cli import ANALYZE_COLUMNS, TIMESERIES_COLUMNS, load_config, main
 from oracles import scan_max_paral
 
 
@@ -28,6 +28,17 @@ def small_config(tmp_path):
         "seed = 7\n"
     )
     return path
+
+
+#: config-file settings that together give every ExperimentConfig field a value
+#: of its type other than its default
+CONFIG_FILE_CASES = [
+    dict(dataset="amazon", replicas=2, hosts=50, policy="apsr", delta_hat=0.1, budget=64,
+         period=5, alpha=0.5, estimator="oracle", lambda_a=7.5, arrival="mmpp",
+         lambda_d=2.5, seed=18446744073709551623, max_slots=100),
+    dict(dataset="nfv", policy="wf", schedulers=4),
+    dict(dataset="nfv", budget="60%"),
+]
 
 
 class TestAnalyze:
@@ -130,6 +141,8 @@ class TestSimulate:
         table.write_text("resources cpu mem\nhost 1 1 1\nflavor 0.5 0.5 2\n")
         weightless = tmp_path / "weightless.txt"
         weightless.write_text("resources cpu mem\nhost 1 1 0\nflavor 0.5 0.5 2\n")
+        zero_capacity = tmp_path / "zero_capacity.txt"
+        zero_capacity.write_text("resources cpu mem\nhost 1 0 1\nflavor 0.5 0 2\n")
         negative_class = tmp_path / "negative_class.txt"
         negative_class.write_text("resources cpu mem\nhost 1 1 1\nclass small -5\n"
                                   "flavor 0.1 0.1 0 small\nflavor 0.2 0.2 1\n")
@@ -141,9 +154,10 @@ class TestSimulate:
             ("lifetime", "preset = nfv-mmpp\nlifetime = finite\n"),
             ("weight", f"dataset = {weightless}\nhosts = 3\npolicy = ff\ns = 1\n"),
             ("fixed-fleet", "preset = nfv\npolicy = ff\ns = 2\nestimator = oracle\nT = 1\n"),
-            ("poisson-mmpp", "preset = nfv\nmmpp_rate_low = 3\nmmpp_switch = 0.9\n"),
-            ("ff-rank", "preset = nfv\npolicy = ff\ns = 2\nlambda_rank = 3\n"
-                        "adaptive_threshold = 0.9\n"),
+            ("inf-rate", "preset = nfv\nlambda_a = inf\n"),
+            ("huge-rate", "preset = nfv\nlambda_a = 1e300\n"),
+            ("inf-departures", "preset = nfv-mmpp\nlambda_d = inf\n"),
+            ("zero-capacity", f"dataset = {zero_capacity}\nhosts = 3\npolicy = wf\ns = 1\n"),
             ("class-count", f"dataset = {negative_class}\nhosts = 4\npolicy = ff\ns = 1\n"),
             ("max-slots", "preset = nfv\nmax_slots = 4294967297\n"),  # 2^32 + 1
         ]:
@@ -191,6 +205,25 @@ class TestSimulate:
         assert run_cli("simulate", path, "--out", out) == 2
         assert not out.exists()
         assert "set hosts explicitly" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["lambda_rank", "adaptive_threshold", "mmpp_rate_low",
+                                     "mmpp_switch"])
+    def test_fixed_constant_is_unknown_key_before_any_output(self, tmp_path, key, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"preset = nfv-mmpp\n{key} = 1\n")
+        out = tmp_path / "out"
+        assert run_cli("simulate", path, "--out", out) == 2
+        assert not out.exists()
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", CONFIG_FILE_CASES)
+    def test_config_file_sets_fields_as_make_config(self, tmp_path, values):
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        assert load_config(str(path)) == make_config(**values)
+
+    def test_config_file_cases_set_every_field(self):
+        assert set().union(*CONFIG_FILE_CASES) == {f.name for f in fields(ExperimentConfig)}
 
     def test_malformed_config_line_is_config_error(self, tmp_path):
         path = tmp_path / "bad.cfg"

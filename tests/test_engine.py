@@ -18,6 +18,7 @@ from apsr import (
     run_experiment,
 )
 from apsr.engine import _pcg64_streams, _seed_states
+from apsr.workload import MAX_RATE
 from oracles import replay_sampling_decisions
 
 
@@ -56,27 +57,23 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("key, value", [
         ("estimator", "oracle"), ("period", 1), ("alpha", 0.5), ("delta_hat", 0.1), ("budget", 64),
-        ("mmpp_rate_low", 3.0), ("mmpp_switch", 0.9), ("lambda_rank", 3),
-        ("adaptive_threshold", 0.9),
     ])
     def test_fixed_fleet_rejects_controller_settings(self, key, value):
-        """An ff fleet on Poisson arrivals reads no controller, mmpp, lambda_rank
-        or adaptive_threshold setting, so one it would only echo is an error;
-        the default value is accepted."""
-        with pytest.raises(ConfigError, match=key):
+        """An ff fleet reads no controller setting, so one it would only echo is
+        an error; the default value is accepted, and apsr reads the setting."""
+        with pytest.raises(ConfigError, match=f"never reads {key} "):
             make_config("nfv", policy="ff", schedulers=2, **{key: value})
         default = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}[key]
         make_config("nfv", policy="ff", schedulers=2, **{key: default})
+        assert getattr(make_config("nfv", **{key: value}), key) == value
 
-    @pytest.mark.parametrize("key, value, reader", [
-        ("estimator", "oracle", {}),
-        ("mmpp_rate_low", 3.0, dict(arrival="mmpp")),
-        ("lambda_rank", 3, dict(policy="ffr", schedulers=2)),
-        ("lambda_rank", 3, dict(policy="wfr", schedulers=2)),
-        ("adaptive_threshold", 0.9, dict(policy="adaptive", schedulers=2)),
-    ])
-    def test_conditional_settings_accepted_where_read(self, key, value, reader):
-        assert getattr(make_config("nfv", **reader, **{key: value}), key) == value
+    @pytest.mark.parametrize("key", ["lambda_rank", "adaptive_threshold", "mmpp_rate_low",
+                                     "mmpp_switch"])
+    def test_fixed_constants_are_unknown_keys(self, key):
+        """The candidate-set size, adaptive's threshold and the mmpp low rate and
+        switch point are module constants, not settings."""
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            make_config("nfv-mmpp", **{key: 1})
 
     def test_budget_forms(self):
         assert make_config(dataset="nfv", budget="50%", hosts=100).resolve_budget(100) == 50
@@ -89,26 +86,23 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("key, value", [
         ("delta_hat", 2.0), ("delta_hat", -0.1), ("alpha", 0.0), ("alpha", 1.5),
-        ("period", 0), ("lambda_a", 0.0), ("mmpp_rate_low", -1.0), ("mmpp_switch", 1.2),
-        ("lambda_rank", 0), ("adaptive_threshold", 1.5), ("delta_hat", float("nan")),
+        ("period", 0), ("lambda_a", 0.0), ("delta_hat", float("nan")),
+        ("lambda_a", float("inf")), ("lambda_a", 1e300), ("lambda_a", 9.3e18),
+        ("lambda_a", float("nan")), ("lambda_d", float("inf")), ("lambda_d", 9.3e18),
         ("lambda_d", 0.0), ("seed", -1), ("max_slots", 0), ("max_slots", 2**32 + 1),
     ])
     def test_out_of_range_numbers_rejected(self, key, value):
-        reader = {  # a config that reads the key, so its range check is what fails
-            "mmpp_rate_low": dict(arrival="mmpp"), "mmpp_switch": dict(arrival="mmpp"),
-            "lambda_rank": dict(policy="ffr", schedulers=2),
-            "adaptive_threshold": dict(policy="adaptive", schedulers=2),
-        }.get(key, {})
         with pytest.raises(ConfigError, match=f"^{key} must be"):
-            make_config("nfv", **reader, **{key: value})
+            make_config("nfv-mmpp", **{key: value})
 
     def test_max_slots_reaches_one_slot_word(self):
         """A slot stays one uint32 word of a stream key: slots 0 to 2^32 - 1."""
         assert make_config("nfv", max_slots=2**32).max_slots == 2**32
 
-    def test_mmpp_switch_point_checked_at_construction(self):
-        with pytest.raises(ConfigError):
-            make_config("nfv-mmpp", mmpp_switch=0.0)
+    def test_rates_reach_the_poisson_sampler_limit(self):
+        """Both rates may be as high as numpy's Poisson sampler takes."""
+        config = small_nfv(arrival="mmpp", lambda_a=MAX_RATE, lambda_d=MAX_RATE)
+        assert run_experiment(config).attempts == 437
 
     def test_unknown_preset_and_keys(self):
         with pytest.raises(ConfigError):

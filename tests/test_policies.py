@@ -22,7 +22,7 @@ from apsr import (
 )
 from apsr.ballsbins import pick_distinct, sigma
 from apsr.core import MAX_UNITS
-from apsr.policies import DETERMINISTIC_KINDS
+from apsr.policies import ADAPTIVE_THRESHOLD, DETERMINISTIC_KINDS, LAMBDA_RANK
 from oracles import reference_choice
 
 
@@ -74,10 +74,17 @@ class TestDeterministicPolicies:
         assert choose(PolicyConfig("wf"), view, req(10, 10), rng()) == 0
 
     def test_adaptive_switches_regime_at_threshold(self):
-        # loads 0.2/0.2 -> mean 0.2 < 0.6: behaves like wf (host 1 least loaded)
+        assert ADAPTIVE_THRESHOLD == 0.6
+        # loads 0.3/0.1 -> mean 0.2 < 0.6: behaves like wf (host 1 least loaded)
         low = make_view([[70, 80], [90, 90]])
         assert choose(PolicyConfig("adaptive"), low, req(10, 10), rng()) == 1
-        # loads 0.8/0.6 -> mean 0.7 >= 0.6: behaves like ff (host 0 first available)
+        # loads 0.7/0.48 -> mean 0.59 just below: still wf
+        below = make_view([[30, 40], [52, 60]])
+        assert choose(PolicyConfig("adaptive"), below, req(10, 10), rng()) == 1
+        # loads 0.7/0.5 -> mean exactly 0.6: behaves like ff (host 0 first available)
+        at = make_view([[30, 40], [50, 60]])
+        assert choose(PolicyConfig("adaptive"), at, req(10, 10), rng()) == 0
+        # loads 0.8/0.6 -> mean 0.7 >= 0.6: ff
         high = make_view([[20, 30], [40, 40]])
         assert choose(PolicyConfig("adaptive"), high, req(10, 10), rng()) == 0
 
@@ -128,8 +135,8 @@ MIXED = st.sampled_from((3, 10, 12, 1000))
 
 @st.composite
 def snapshot_views(draw, capacities):
-    """(ids, capacity, available, demand, threshold) of a small full view with
-    distinct, unsorted ids; half of them are fresh clusters of identical hosts."""
+    """(ids, capacity, available, demand) of a small full view with distinct,
+    unsorted ids; half of them are fresh clusters of identical hosts."""
     n = draw(st.integers(1, 7))
     ids = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True))
     if draw(st.booleans()):
@@ -139,20 +146,18 @@ def snapshot_views(draw, capacities):
         capacity = draw(st.lists(st.tuples(capacities, capacities), min_size=n, max_size=n))
         available = [tuple(draw(st.integers(0, c)) for c in cap) for cap in capacity]
     demand = draw(st.tuples(UNITS, UNITS).filter(any))
-    threshold = draw(st.integers(0, 8)) / 8
-    return ids, capacity, available, demand, threshold
+    return ids, capacity, available, demand
 
 
 class TestAgainstPlainLoop:
     @staticmethod
     def check(case, kinds):
-        ids, capacity, available, demand, threshold = case
+        ids, capacity, available, demand = case
         view = HostView(np.array(ids), np.array(available), np.array(capacity))
         request = Request(0, Flavor("f", demand))
         for kind in kinds:
-            policy = PolicyConfig(kind, adaptive_threshold=threshold)
-            expected = reference_choice(kind, ids, available, capacity, demand, threshold)
-            assert choose(policy, view, request, None) == expected, kind
+            expected = reference_choice(kind, ids, available, capacity, demand)
+            assert choose(PolicyConfig(kind), view, request, None) == expected, kind
 
     @given(snapshot_views(POWERS_OF_TWO))
     def test_deterministic_kinds_pick_least_key_then_id(self, case):
@@ -164,35 +169,34 @@ class TestAgainstPlainLoop:
 
 
 class TestRandomizedPolicies:
-    def test_lambda_one_collapses_to_deterministic(self):
-        view = make_view([[30, 60], [80, 20], [50, 50]])
-        request = req(10, 10)
-        assert choose(PolicyConfig("ffr", lambda_rank=1), view, request, rng()) == choose(
-            PolicyConfig("ff"), view, request, rng()
-        )
-        assert choose(PolicyConfig("wfr", lambda_rank=1), view, request, rng()) == choose(
-            PolicyConfig("wf"), view, request, rng()
-        )
-
-    def test_ffr_stays_within_lowest_lambda_ids(self):
-        view = make_view(np.full((10, 2), 100))
+    @staticmethod
+    def chi_square_uniform(kind, view, expected_hosts, trials=10_000):
+        """Picks of ``kind`` land on exactly ``expected_hosts``, uniformly."""
         generator = np.random.default_rng(3)
-        picks = {
-            choose(PolicyConfig("ffr", lambda_rank=3), view, req(10, 10), generator)
-            for _ in range(200)
-        }
-        assert picks == {0, 1, 2}
+        counts = np.zeros(view.ids.size)
+        for _ in range(trials):
+            counts[choose(PolicyConfig(kind), view, req(10, 10), generator)] += 1
+        assert set(np.flatnonzero(counts).tolist()) == set(expected_hosts)
+        expected = trials / len(expected_hosts)
+        statistic = ((counts[expected_hosts] - expected) ** 2 / expected).sum()
+        assert statistic < chi2.ppf(0.999, df=len(expected_hosts) - 1)
 
-    def test_wfr_candidate_set_is_least_loaded(self):
-        available = np.full((6, 2), 100)
-        available[[1, 4]] = 20  # hosts 1 and 4 heavily loaded
-        view = make_view(available)
-        generator = np.random.default_rng(3)
-        picks = {
-            choose(PolicyConfig("wfr", lambda_rank=4), view, req(10, 10), generator)
-            for _ in range(300)
-        }
-        assert picks == {0, 2, 3, 5}
+    def test_ffr_picks_uniformly_among_lowest_lambda_ids(self):
+        assert LAMBDA_RANK == 5
+        available = np.full((10, 2), 100)
+        available[2] = 0  # host 2 full
+        self.chi_square_uniform("ffr", make_view(available), [0, 1, 3, 4, 5])
+
+    def test_wfr_picks_uniformly_among_lambda_least_loaded(self):
+        available = np.full((8, 2), 100)
+        available[[1, 4, 6]] = 20  # hosts 1, 4 and 6 heavily loaded
+        self.chi_square_uniform("wfr", make_view(available), [0, 2, 3, 5, 7])
+
+    def test_fewer_fitting_hosts_than_lambda_are_all_candidates(self):
+        available = np.full((8, 2), 100)
+        available[[0, 2, 3, 5, 6]] = 5  # only hosts 1, 4 and 7 take the request
+        for kind in ("ffr", "wfr"):
+            self.chi_square_uniform(kind, make_view(available), [1, 4, 7], trials=3_000)
 
     def test_random_uniform_chi_square(self):
         view = make_view(np.full((7, 2), 100))
@@ -296,7 +300,3 @@ class TestInterfaceContracts:
     def test_policy_config_validation(self):
         with pytest.raises(ConfigError):
             PolicyConfig("bestfit")
-        with pytest.raises(ConfigError):
-            PolicyConfig("ffr", lambda_rank=0)
-        with pytest.raises(ConfigError):
-            PolicyConfig("adaptive", adaptive_threshold=1.5)

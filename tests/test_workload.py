@@ -1,5 +1,6 @@
 """Datasets, traces, arrival schedules, and host-fleet sizing."""
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -16,7 +17,7 @@ from apsr import (
     make_config,
     size_hosts,
 )
-from apsr.workload import parse_dataset
+from apsr.workload import MAX_RATE, MMPP_RATE_LOW, MMPP_SWITCH, parse_dataset
 
 
 class TestEmbeddedDatasets:
@@ -121,6 +122,14 @@ class TestIntegerUnits:
         with pytest.raises(ConfigError, match=f"^t:2: host weight must be >= 1, got {weight}$"):
             parse_dataset(text, "t")
 
+    @pytest.mark.parametrize("capacity", ["1 0", "0 1", "0.0 2"])
+    def test_zero_capacity_coordinate_rejected(self, capacity):
+        """A host's load divides by each capacity coordinate, so none may be zero."""
+        text = f"resources cpu mem\nhost {capacity} 1\nflavor 0.5 0.5 1\n"
+        message = f"t:2: host capacity coordinates must be positive, got 'host {capacity} 1'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_dataset(text, "t")
+
     def test_negative_class_count_rejected(self):
         text = "resources cpu mem\nhost 1 1 1\nclass small -5\nflavor 0.1 0.1 0 small\n"
         with pytest.raises(ConfigError, match="^t:3: class counts must be >= 0, got -5$"):
@@ -209,21 +218,22 @@ class TestBuildArrivals:
         with pytest.raises(ConfigError):
             ArrivalProcess("poisson", 0.0)
 
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan"), 1e300, 9.3e18])
+    def test_rate_past_the_poisson_sampler_rejected(self, rate):
+        with pytest.raises(ConfigError, match="arrival rate must be in"):
+            ArrivalProcess("poisson", rate)
+
+    def test_highest_rate_draws(self):
+        assert build_arrivals(ArrivalProcess("poisson", MAX_RATE), 10, seed=0) == [10]
+
     def test_mmpp_switches_rate_after_fraction(self):
-        process = ArrivalProcess("mmpp", 20.0, rate_low=5.0, switch_fraction=0.2)
-        counts = build_arrivals(process, 10_000, seed=2)
+        counts = build_arrivals(ArrivalProcess("mmpp", 20.0), 10_000, seed=2)
         cumulative = np.cumsum(counts)
-        switch_slot = int(np.searchsorted(cumulative, 2000))
+        switch_slot = int(np.searchsorted(cumulative, MMPP_SWITCH * 10_000))
         head = np.array(counts[:switch_slot])
         tail = np.array(counts[switch_slot + 1 : -1])
         assert head.mean() > 3 * tail.mean()  # 20 vs 5 with slack
-        assert tail.mean() == pytest.approx(5.0, rel=0.2)
-
-    def test_mmpp_validation(self):
-        with pytest.raises(ConfigError):
-            ArrivalProcess("mmpp", 20.0)
-        with pytest.raises(ConfigError):
-            ArrivalProcess("mmpp", 20.0, rate_low=5.0, switch_fraction=1.5)
+        assert tail.mean() == pytest.approx(MMPP_RATE_LOW, rel=0.2)
 
 
 class TestFleetCapacities:

@@ -19,8 +19,8 @@ keeps the command's stdout next to the files it writes:
   their `--output` CSV.
 
 Prints "identical" when every output (each `manifest.json`, `run_<seed>.csv`,
-sizing CSV and stdout) matches byte for byte and exits 0; otherwise prints the
-first differing file and exits 1.  Exit 2 means a tree could not run.  This is
+sizing CSV and stdout) matches byte for byte and exits 0; otherwise prints
+every differing file and exits 1.  Exit 2 means a tree could not run.  This is
 the check for changes that mean to keep how randomness is drawn.
 """
 
@@ -93,17 +93,23 @@ def main(argv: list[str]) -> int:
             if name in ("nfv", "nfv-random-s10"):
                 cases[f"{name}-big-seeds"] = ["simulate", config, "--seeds", BIG_SEEDS, "--out", OUT]
         cases.update(COMMANDS)
+        differing = 0
         for name, case in cases.items():
             outs = [tmp / side / name for side in ("old", "new")]
             for src, out in zip(trees, outs):
                 run(src, case, out)
             files = sorted({p.name for out in outs for p in out.iterdir()})
+            same = 0
             for file in files:
                 old, new = (out / file for out in outs)
-                if not (old.is_file() and new.is_file() and old.read_bytes() == new.read_bytes()):
+                if old.is_file() and new.is_file() and old.read_bytes() == new.read_bytes():
+                    same += 1
+                else:
                     print(f"differs: {name}/{file}")
-                    return 1
-            print(f"{name}: {len(files)} files identical", file=sys.stderr)
+            print(f"{name}: {same} of {len(files)} files identical", file=sys.stderr)
+            differing += len(files) - same
+    if differing:
+        return 1
     print("identical")
     return 0
 
