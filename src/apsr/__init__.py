@@ -18,7 +18,7 @@ from .ballsbins import (
     sigma,
     simulate_balls_and_bins,
 )
-from .controller import ApsrController, FlavorCounters, estimate_k
+from .controller import ApsrController
 from .core import (
     AvailabilityCensus,
     ClusterState,
@@ -64,7 +64,6 @@ __all__ = [
     "DatasetSpec",
     "ExperimentConfig",
     "Flavor",
-    "FlavorCounters",
     "HostView",
     "ModelError",
     "PRESETS",
@@ -78,7 +77,6 @@ __all__ = [
     "build_arrivals",
     "build_trace",
     "choose",
-    "estimate_k",
     "expected_happy",
     "fleet_capacities",
     "load_dataset",

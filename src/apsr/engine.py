@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .ballsbins import pick_distinct
-from .controller import ESTIMATOR_MODES, ApsrController
+from .controller import ApsrController
 from .core import ClusterState, ConfigError, Request
 from .policies import DETERMINISTIC_KINDS, HostView, PolicyConfig, choose
 from .workload import (
@@ -105,8 +105,8 @@ class ExperimentConfig:
         if self.policy != "apsr" and unread:
             raise ConfigError(f"this run never reads {', '.join(unread)} "
                               "(read only when policy is apsr)")
-        if self.estimator not in ESTIMATOR_MODES:
-            raise ConfigError(f"unknown estimator {self.estimator!r}")
+        # checks delta_hat, period, alpha and the estimator
+        ApsrController(1, self.delta_hat, 1, self.period, self.alpha, self.estimator)
         if isinstance(self.budget, str):
             _parse_percent(self.budget)
         elif self.budget is not None and self.budget < 1:
@@ -119,9 +119,6 @@ class ExperimentConfig:
             ("max_slots", 1 <= self.max_slots <= 2**32, "in [1, 2^32]"),  # a slot is one word
             ("lambda_d", self.lambda_d is None or 0 < self.lambda_d <= MAX_RATE,
              f"in (0, {MAX_RATE:g}]"),
-            ("delta_hat", 0.0 <= self.delta_hat <= 1.0, "in [0, 1]"),
-            ("alpha", 0.0 < self.alpha <= 1.0, "in (0, 1]"),
-            ("period", self.period >= 1, ">= 1"),
             ("lambda_a", 0 < self.lambda_a <= MAX_RATE, f"in (0, {MAX_RATE:g}]"),
         ):
             if not ok:
@@ -261,7 +258,7 @@ class Simulation:
         self.trace = build_trace(self.dataset, config.replicas, (config.seed, _TRACE))
         self.schedule = (
             build_arrivals(ArrivalProcess(config.arrival, config.lambda_a), len(self.trace),
-                           (config.seed, _ARRIVALS))
+                           (config.seed, _ARRIVALS), config.max_slots)
             if self.trace
             else []
         )
@@ -327,9 +324,7 @@ class Simulation:
         n, d = self.state.n, self.controller.d
         rows = np.array([rng.integers(0, n, size=d) for rng in streams])
         fits = np.array([view.fit_mask(r.flavor.demand)[row] for row, (_, r) in zip(rows, pairs)])
-        if self.controller.estimator != "oracle":  # an oracle tick reads the census alone
-            for (_, request), found in zip(pairs, fits.sum(axis=1).tolist()):
-                self.controller.counters.record(request.flavor.id, d, found)
+        self.controller.record([r.flavor.id for _, r in pairs], fits.sum(axis=1).tolist())
 
         def rank(distinct):  # a second draw only for agents that saw a fitting host
             return [rng.integers(c) if c else 0 for rng, c in zip(streams, distinct.tolist())]
@@ -346,11 +341,7 @@ class Simulation:
             self._arrived += self.schedule[slot]
 
         if self.controller is not None and self.controller.due(slot):
-            census = None
-            if self.controller.estimator == "oracle":
-                census = state.census(self.dataset.flavors)
-                self.metrics.controller_queries += state.n
-            self.controller.tick(census)
+            self.metrics.controller_queries += self.controller.tick(state, self.dataset.flavors)
 
         allowed = self.controller.s if self.controller else config.schedulers
         active = min(allowed, self._arrived - self._attempted)

@@ -253,14 +253,15 @@ class ArrivalProcess:
             raise ConfigError(f"arrival rate must be in (0, {MAX_RATE:g}], got {self.rate}")
 
 
-def build_arrivals(process: ArrivalProcess, trace_length: int, seed) -> list[int]:
-    """Draw per-slot arrival counts until the trace is exhausted (last slot truncated)."""
+def build_arrivals(process: ArrivalProcess, trace_length: int, seed, max_slots: int) -> list[int]:
+    """Draw per-slot arrival counts until the trace is exhausted (last slot
+    truncated) or the schedule holds ``max_slots`` slots, the most a run reads."""
     if trace_length < 1:
         raise ConfigError(f"trace_length must be >= 1, got {trace_length}")
     rng = np.random.default_rng(seed)
     counts: list[int] = []
     arrived = 0
-    while arrived < trace_length:
+    while arrived < trace_length and len(counts) < max_slots:
         rate = process.rate
         if process.kind == "mmpp" and arrived >= MMPP_SWITCH * trace_length:
             rate = MMPP_RATE_LOW

@@ -128,6 +128,15 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["runs"][0]["metrics"]["truncated"] is True
 
+    def test_rate_too_low_for_max_slots_ends_truncated(self, tmp_path):
+        path = tmp_path / "idle.cfg"
+        path.write_text("preset = nfv\nlambda_a = 1e-12\nmax_slots = 50\n")
+        out = tmp_path / "idle"
+        assert run_cli("simulate", path, "--out", out) == 0
+        metrics = json.loads((out / "manifest.json").read_text())["runs"][0]["metrics"]
+        assert metrics["truncated"] is True
+        assert metrics["attempts"] == 0
+
     def test_unknown_dataset_is_config_error(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("dataset = azure\npolicy = ff\ns = 1\n")
@@ -148,6 +157,9 @@ class TestSimulate:
                                   "flavor 0.1 0.1 0 small\nflavor 0.2 0.2 1\n")
         for name, text in [
             ("range", "preset = nfv\ndelta_hat = 2\n"),
+            ("alpha", "preset = nfv\nalpha = 0\n"),
+            ("period", "preset = nfv\nT = 0\n"),
+            ("estimator", "preset = nfv\nestimator = exact\n"),
             ("dataset", "dataset = azure\npolicy = ff\ns = 1\n"),
             ("fleet", f"dataset = {table}\npolicy = ff\ns = 1\n"),
             ("controller", "preset = nfv\ncontroller = true\n"),

@@ -160,17 +160,24 @@ class TestSlotMechanics:
         assert metrics.controller_queries == metrics.slots * 40
 
     def test_oracle_runs_record_no_counters(self):
-        """An oracle tick reads the census alone, so its agents leave the counters empty."""
+        """An oracle tick reads the census alone, so its agents leave the window empty."""
         sim = Simulation(small_nfv(estimator="oracle", period=1, seed=5))
         for _ in range(5):
             sim.run_slot()
         assert sim.metrics.attempts > 0
-        assert sim.controller.counters.availability_ratios() == {}
+        assert (sim.controller.queried, sim.controller.found) == ({}, {})
 
     def test_truncation_flag(self):
         metrics = run_experiment(small_nfv(policy="ff", schedulers=1, max_slots=5))
         assert metrics.truncated
         assert metrics.slots == 5
+
+    def test_arrivals_drawn_for_at_most_max_slots(self):
+        """At a rate too low to bring a request in within max_slots, the run
+        stops there truncated: the schedule is not drawn on past max_slots."""
+        metrics = run_experiment(make_config("nfv", lambda_a=1e-12, max_slots=50))
+        assert metrics.truncated
+        assert (metrics.slots, metrics.attempts) == (50, 0)
 
     def test_finite_lifetimes_recycle_capacity(self, tmp_path):
         path = tmp_path / "churn.txt"
@@ -217,7 +224,8 @@ class TestSnapshotCausality:
 
         forward = decide(pairs)
         if sim.controller is not None:
-            sim.controller.counters.reset()
+            sim.controller.queried.clear()
+            sim.controller.found.clear()
         return forward, decide(pairs[::-1])[::-1]
 
     def test_decisions_invariant_to_evaluation_order(self):

@@ -236,7 +236,8 @@ class TestSamplingAgent:
         full = HostView(np.arange(40), np.zeros_like(sim.state.capacity), sim.state.capacity)
         pairs = list(enumerate(sim.trace[:6]))
         assert sim.decide(full, 0, pairs) == [None] * 6
-        assert set(sim.controller.counters.availability_ratios().values()) == {0.0}
+        assert sum(sim.controller.queried.values()) == 5 * 6  # d hosts per decision
+        assert set(sim.controller.found.values()) == {0}
 
     def test_duplicates_collapse_to_distinct(self):
         counts = []

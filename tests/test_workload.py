@@ -200,15 +200,20 @@ class TestBuildTrace:
             build_trace(load_dataset("nfv"), 0, seed=0)
 
 
+MAX_SLOTS = 1_000_000  # the default run length: never reached by these schedules
+
+
 class TestBuildArrivals:
     def test_total_equals_trace_length(self):
-        counts = build_arrivals(ArrivalProcess("poisson", 20.0), 13_110, seed=0)
+        counts = build_arrivals(ArrivalProcess("poisson", 20.0), 13_110, seed=0,
+                                max_slots=MAX_SLOTS)
         assert sum(counts) == 13_110
         assert all(c >= 0 for c in counts)
         assert len(counts) == pytest.approx(13_110 / 20, rel=0.15)
 
     def test_empirical_mean_converges(self):
-        counts = build_arrivals(ArrivalProcess("poisson", 20.0), 40_000, seed=1)
+        counts = build_arrivals(ArrivalProcess("poisson", 20.0), 40_000, seed=1,
+                                max_slots=MAX_SLOTS)
         # drop the truncated last slot from the mean
         counts = np.array(counts[:-1])
         se = np.sqrt(20.0 / counts.size)
@@ -223,11 +228,21 @@ class TestBuildArrivals:
         with pytest.raises(ConfigError, match="arrival rate must be in"):
             ArrivalProcess("poisson", rate)
 
+    def test_schedule_stops_at_max_slots(self):
+        """A run reads at most max_slots slots, so no more are drawn; the ones
+        drawn are the first slots of the uncapped schedule."""
+        full = build_arrivals(ArrivalProcess("poisson", 20.0), 13_110, seed=0, max_slots=MAX_SLOTS)
+        capped = build_arrivals(ArrivalProcess("poisson", 20.0), 13_110, seed=0, max_slots=50)
+        assert capped == full[:50]
+        tiny_rate = build_arrivals(ArrivalProcess("poisson", 1e-12), 13_110, seed=0, max_slots=50)
+        assert tiny_rate == [0] * 50
+
     def test_highest_rate_draws(self):
-        assert build_arrivals(ArrivalProcess("poisson", MAX_RATE), 10, seed=0) == [10]
+        process = ArrivalProcess("poisson", MAX_RATE)
+        assert build_arrivals(process, 10, seed=0, max_slots=MAX_SLOTS) == [10]
 
     def test_mmpp_switches_rate_after_fraction(self):
-        counts = build_arrivals(ArrivalProcess("mmpp", 20.0), 10_000, seed=2)
+        counts = build_arrivals(ArrivalProcess("mmpp", 20.0), 10_000, seed=2, max_slots=MAX_SLOTS)
         cumulative = np.cumsum(counts)
         switch_slot = int(np.searchsorted(cumulative, MMPP_SWITCH * 10_000))
         head = np.array(counts[:switch_slot])

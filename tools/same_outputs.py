@@ -8,8 +8,9 @@ OLD_SRC and NEW_SRC are directories holding the `apsr` package (a checkout's
 keeps the command's stdout next to the files it writes:
 
 - `apsr simulate --seeds 0,1,2` for the presets nfv, google, amazon and
-  nfv-mmpp; nfv with the oracle estimator at T=1; nfv with a fixed fleet of
-  s=10 under each of the seven snapshot policies; amazon (two host shapes)
+  nfv-mmpp; nfv with the oracle estimator at T=1; nfv-mmpp with the avg
+  estimator; nfv with budget 40%, T=3 and alpha=0.3; nfv with a fixed fleet
+  of s=10 under each of the seven snapshot policies; amazon (two host shapes)
   with s=10 under distfromdiag; and google (5,989 hosts) with s=10 under wf;
 - `apsr simulate --seeds 4294967301,18446744073709551623` (2^32 + 5 and
   2^64 + 7, seeds of two and three 32-bit words) for nfv and for nfv with a
@@ -41,6 +42,8 @@ CONFIGS = {
     "amazon": "amazon",
     "nfv-mmpp": "nfv-mmpp",
     "nfv-oracle-t1": "preset = nfv\nestimator = oracle\nT = 1\n",
+    "nfv-mmpp-avg": "preset = nfv-mmpp\nestimator = avg\n",
+    "nfv-window": "preset = nfv\nbudget = 40%\nT = 3\nalpha = 0.3\n",
     **{
         f"nfv-{kind}-s10": f"preset = nfv\npolicy = {kind}\ns = 10\n"
         for kind in ("ff", "wf", "random", "ffr", "wfr", "adaptive", "distfromdiag")
