@@ -8,13 +8,18 @@ accepts at most one agent, so an agent is "happy" iff it wins the bin it chose.
 
 Sampling with replacement is what makes ``sigma = 1 - ((n-k)/n)**d`` an exact
 identity rather than a bound; the simulator's sampling agents pick with the
-Monte-Carlo game's own kernel, ``pick_distinct``.  ``k == 0`` and ``d == 0``
+Monte-Carlo game's own kernel, ``pick_distinct``, which treats every value
+>= its sentinel as unavailable: the game draws bins 0..n-1 with sentinel k.
+Below n = 2**31 the game draws int32, since numpy bounds int32 and int64 draws
+below 2**32 with one 32-bit Lemire step: the same values and generator state,
+at half the memory to sort and gather.  ``k == 0`` and ``d == 0``
 yield zero probability and zero expected winners instead of errors, so
 callers degrade gracefully at full utilization.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,10 +62,14 @@ def expected_happy(params: BallsBinsParams) -> float:
     Given f potentially happy agents, k (1 - x^f) bins win on average, x = (k-1)/k.
     f ~ Bin(s, sigma) has E[x^f] = (1 - sigma + sigma x)^s, so E = k (1 - (1 - sigma/k)^s).
     """
-    n, k, s, d = params.n, params.k, params.s, params.d
+    return _happy(params.n, params.k, params.s, params.d)
+
+
+def _happy(n: int, k: int, s: int, d: int) -> float:
+    """``expected_happy`` of (n, k, s, d) already checked: sigma inlined, no checks."""
     if k == 0 or d == 0:
         return 0.0
-    return k * (1.0 - (1.0 - sigma(n, k, d) / k) ** s)
+    return k * (1.0 - (1.0 - (1.0 - ((n - k) / n) ** d) / k) ** s)
 
 
 def satisfy_sla(n: int, delta_hat: float, k: int, s: int, d: int) -> bool:
@@ -85,8 +94,8 @@ def max_paral(n: int, delta_hat: float, budget: int, k: int) -> tuple[int, int]:
     if not 0.0 <= delta_hat <= 1.0:
         raise ValueError(f"delta_hat must be in [0, 1], got {delta_hat}")
     s = 1
-    while s + 1 <= budget and satisfy_sla(n, delta_hat, k, s + 1, budget // (s + 1)):
-        s += 1
+    while s + 1 <= budget and _happy(n, k, s + 1, budget // (s + 1)) >= (s + 1) * (1.0 - delta_hat):
+        s += 1  # satisfy_sla(n, delta_hat, k, s + 1, budget // (s + 1)), checked once above
     return s, budget // s
 
 
@@ -119,28 +128,29 @@ class SimulationResult:
 def pick_distinct(draws: np.ndarray, sentinel: int, rank) -> np.ndarray:
     """Each row's pick among the distinct available values it drew.
 
-    ``draws`` is an (..., d) integer array whose unavailable entries equal
-    ``sentinel``, a value above every available one; it is sorted in place
-    along its last axis.  ``rank(distinct)`` gets the (...) array of each
+    ``draws`` is an (..., d) integer array whose unavailable entries are any
+    value >= ``sentinel``, a value above every available one; it is sorted in
+    place along its last axis.  ``rank(distinct)`` gets the (...) array of each
     row's distinct available count and returns each row's rank in
     [0, distinct) (read only where distinct > 0).  Returns the (...) array of
-    picks: the available value of that rank in ascending order, or
-    ``sentinel`` where a row drew nothing available.  Uniform ranks give the
-    sampling agent's rule, a uniform pick among the distinct available bins
-    (hosts) it saw; the game and the engine both pick through here.
+    picks, of ``draws``' dtype: the available value of that rank in ascending
+    order, or ``sentinel`` where a row drew nothing available.  Uniform ranks
+    give the sampling agent's rule, a uniform pick among the distinct available
+    bins (hosts) it saw; the game and the engine both pick through here.
     """
     draws.sort(axis=-1)
     first = draws < sentinel
     first[..., 1:] &= draws[..., 1:] != draws[..., :-1]
-    distinct = first.sum(axis=-1)
-    counts = distinct.ravel()
-    # draws[first] lists each row's distinct available values in ascending
-    # order, row after row; a row's run starts after those of earlier rows
-    position = np.cumsum(counts) - counts + np.asarray(rank(distinct)).ravel()
+    shape, d = first.shape[:-1], first.shape[-1]
+    # flat indices of each row's distinct available values in ascending order,
+    # row after row; a row's run starts after those of earlier rows
+    hits = np.flatnonzero(first)
+    counts = np.bincount(hits // max(d, 1), minlength=math.prod(shape))  # d = 0 hits nothing
+    position = np.cumsum(counts) - counts + np.asarray(rank(counts.reshape(shape))).ravel()
     seen = counts > 0
     picks = np.full(counts.shape, sentinel, dtype=draws.dtype)
-    picks[seen] = draws[first][position[seen]]
-    return picks.reshape(distinct.shape)
+    picks[seen] = draws.ravel()[hits[position[seen]]]
+    return picks.reshape(shape)
 
 
 #: Trials the Monte-Carlo game draws at once; the draws depend on it.
@@ -162,14 +172,14 @@ def simulate_balls_and_bins(params: BallsBinsParams, trials: int, seed) -> Simul
         return SimulationResult(trials, 0, 0, 0, selection_counts)
 
     rng = np.random.default_rng(seed)
+    dtype = np.int32 if n < 2**31 else np.int64  # the int64 draw's values; k <= n fits too
     ph_total = 0
     happy_total = 0
     happy_sq_total = 0
     done = 0
     while done < trials:
         m = min(CHUNK, trials - done)
-        vals = rng.integers(0, n, size=(m, s, d))
-        vals[vals >= k] = k  # unavailable draws share the sentinel k
+        vals = rng.integers(0, n, size=(m, s, d), dtype=dtype)
         selected = pick_distinct(
             vals, k, lambda distinct: (rng.random(distinct.shape) * distinct).astype(np.int64)
         )

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from apsr import (
     ApsrController,
@@ -15,7 +18,7 @@ from apsr import (
     sigma,
     simulate_balls_and_bins,
 )
-from apsr.ballsbins import CHUNK
+from apsr.ballsbins import CHUNK, pick_distinct
 from oracles import (
     direct_expected_happy,
     enumerated_expected_happy,
@@ -177,6 +180,53 @@ class TestSimulation:
         assert (result.potentially_happy_total, result.happy_total, result.happy_sq_total) == (
             ph, happy, happy_sq)
         assert result.selection_counts.tolist() == counts
+
+    @pytest.mark.parametrize("n", [1, 2, 837, 5989, 2**31])
+    def test_int32_draws_are_the_int64_draws(self, n):
+        """The game draws int32 below n = 2**31 on the premise that numpy
+        bounds both widths with one 32-bit step: same values, same generator
+        state after an odd count of draws, same next uniform."""
+        wide, narrow = np.random.default_rng(n), np.random.default_rng(n)
+        drawn = narrow.integers(0, n, size=(5, 3, 7), dtype=np.int32)
+        assert drawn.dtype == np.int32
+        assert drawn.tolist() == wide.integers(0, n, size=(5, 3, 7)).tolist()
+        assert narrow.bit_generator.state == wide.bit_generator.state
+        assert narrow.random() == wide.random()
+
+
+class TestPickDistinct:
+    @given(
+        draws=arrays(st.sampled_from([np.int32, np.int64]),
+                     array_shapes(min_dims=2, max_dims=4, min_side=0, max_side=5),
+                     elements=st.integers(0, 9)),
+        sentinel=st.integers(0, 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(draws=np.zeros((3, 0), np.int64), sentinel=2, seed=0)  # d = 0
+    @example(draws=np.zeros((0, 4), np.int32), sentinel=2, seed=0)  # zero rows
+    @example(draws=np.full((2, 3), 5, np.int64), sentinel=2, seed=0)  # all above the sentinel
+    def test_matches_plain_loop(self, draws, sentinel, seed):
+        """Values at or above the sentinel are unavailable; each row picks the
+        distinct available value of its rank, or the sentinel if it has none."""
+        shape, d = draws.shape[:-1], draws.shape[-1]
+        rows = draws.reshape(math.prod(shape), d).tolist()
+        calls = []
+
+        def rank(distinct):
+            ranks = (np.random.default_rng(seed).random(distinct.shape) * distinct).astype(np.int64)
+            calls.append((distinct.copy(), ranks))
+            return ranks
+
+        picks = pick_distinct(draws, sentinel, rank)
+        assert len(calls) == 1
+        distinct, ranks = calls[0]
+        assert picks.shape == distinct.shape == shape
+        assert picks.dtype == draws.dtype
+        for row, count, r, pick in zip(rows, distinct.ravel().tolist(), ranks.ravel().tolist(),
+                                       picks.ravel().tolist()):
+            seen = sorted({v for v in row if v < sentinel})
+            assert count == len(seen)
+            assert pick == (seen[r] if seen else sentinel)
 
 
 class TestParamTypes:

@@ -17,7 +17,11 @@ keeps the command's stdout next to the files it writes:
   fixed fleet of s=10 under random;
 - `apsr analyze -n 837 -B 837 --k-grid 0:837`;
 - `apsr size-hosts nfv --runs 2` and `apsr size-hosts amazon --runs 2`, with
-  their `--output` CSV.
+  their `--output` CSV;
+- `game`: `simulate_balls_and_bins`' totals and `selection_counts` at the
+  `fleet-analysis` benchmark points (n = 837, B = 250, k = 80, 200 and 350,
+  100k trials, seeds 0-2) and at the edges k = 0, k = n, d = 1 and
+  `CHUNK + 1` trials.
 
 Prints "identical" when every output (each `manifest.json`, `run_<seed>.csv`,
 sizing CSV and stdout) matches byte for byte and exits 0; otherwise prints
@@ -59,17 +63,34 @@ COMMANDS = {
         for dataset in ("nfv", "amazon")
     },
 }
+# The Monte-Carlo game, which no CLI command plays.
+GAME = """
+from apsr.ballsbins import CHUNK, BallsBinsParams, max_paral, simulate_balls_and_bins
+
+def play(n, k, s, d, trials, seed):
+    r = simulate_balls_and_bins(BallsBinsParams(n, k, s, d), trials, seed)
+    print(n, k, s, d, trials, seed, r.potentially_happy_total, r.happy_total,
+          r.happy_sq_total, r.selection_counts.tolist())
+
+for k in (80, 200, 350):
+    s, d = max_paral(837, 0.05, 250, k)
+    for seed in range(3):
+        play(837, k, s, d, 100_000, seed)
+play(837, 0, 5, 50, 1000, 0)
+play(837, 837, 12, 20, 1000, 0)
+play(837, 200, 30, 1, 1000, 0)
+play(837, 200, 9, 27, CHUNK + 1, 0)
+"""
 
 
 def run(src: Path, argv: list[str], out: Path) -> None:
-    """Run `apsr argv` from tree src; its files and stdout land in out."""
+    """Run `python argv` from tree src; its files and stdout land in out."""
     out.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(src))  # ahead of any installed apsr
     argv = [a.replace(OUT, str(out)) for a in argv]
-    done = subprocess.run([sys.executable, "-m", "apsr.cli", *argv], env=env,
-                          capture_output=True, text=True)
+    done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
     if done.returncode != 0:
-        print(f"error: {src}: apsr {' '.join(argv)} exited {done.returncode}\n{done.stderr}",
+        print(f"error: {src}: python {' '.join(argv)} exited {done.returncode}\n{done.stderr}",
               file=sys.stderr)
         sys.exit(2)
     (out / "stdout").write_text(done.stdout)
@@ -96,6 +117,8 @@ def main(argv: list[str]) -> int:
             if name in ("nfv", "nfv-random-s10"):
                 cases[f"{name}-big-seeds"] = ["simulate", config, "--seeds", BIG_SEEDS, "--out", OUT]
         cases.update(COMMANDS)
+        cases = {name: ["-m", "apsr.cli", *args] for name, args in cases.items()}
+        cases["game"] = ["-c", GAME]
         differing = 0
         for name, case in cases.items():
             outs = [tmp / side / name for side in ("old", "new")]
