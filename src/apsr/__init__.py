@@ -41,10 +41,9 @@ from .policies import HostView, PolicyConfig, choose
 from .workload import (
     DATASET_NAMES,
     DEFAULT_FLEETS,
-    ArrivalProcess,
     DatasetSpec,
     SizingResult,
-    build_arrivals,
+    arrivals,
     build_trace,
     fleet_capacities,
     load_dataset,
@@ -54,7 +53,6 @@ from .workload import (
 __all__ = [
     "__version__",
     "ApsrController",
-    "ArrivalProcess",
     "AvailabilityCensus",
     "BallsBinsParams",
     "ClusterState",
@@ -74,7 +72,7 @@ __all__ = [
     "SimulationResult",
     "Simulation",
     "SizingResult",
-    "build_arrivals",
+    "arrivals",
     "build_trace",
     "choose",
     "expected_happy",

@@ -62,7 +62,6 @@ class ApsrController:
         self.k_estimate = float(n)
         self.s = 1
         self.d = budget
-        self._fleet_cache: dict[int, tuple[int, int]] = {}
 
     def due(self, slot: int) -> bool:
         return slot % self.period == 0
@@ -100,9 +99,5 @@ class ApsrController:
         self.found.clear()
 
         k = int(math.floor(self.k_estimate))  # conservative integer bin count
-        fleet = self._fleet_cache.get(k)
-        if fleet is None:
-            fleet = max_paral(self.n, self.delta_hat, self.budget, k)
-            self._fleet_cache[k] = fleet
-        self.s, self.d = fleet
+        self.s, self.d = max_paral(self.n, self.delta_hat, self.budget, k)
         return queries

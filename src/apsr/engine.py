@@ -2,7 +2,9 @@
 snapshot, contended resolution at hosts, metric accumulation, controller ticks.
 
 Each slot proceeds in a fixed order: departures, arrivals, controller tick (on
-period boundaries), scheduler decisions, randomized resolution, metrics.  Every
+period boundaries), scheduler decisions, randomized resolution, metrics.  A
+slot's arrival count is drawn when the slot starts, so only ``max_slots`` bounds
+how many slots a run draws.  Every
 scheduler reads one shared view of the start-of-slot snapshot.  A deterministic
 kind (ff, wf, adaptive, distfromdiag) decides once per distinct demand per slot;
 the random, ffr and wfr schedulers and the sampling agents each own the stream
@@ -28,9 +30,9 @@ from .controller import ApsrController
 from .core import ClusterState, ConfigError, Request
 from .policies import DETERMINISTIC_KINDS, HostView, PolicyConfig, choose
 from .workload import (
+    ARRIVAL_KINDS,
     MAX_RATE,
-    ArrivalProcess,
-    build_arrivals,
+    arrivals,
     build_trace,
     fleet_capacities,
     fleet_size,
@@ -120,10 +122,10 @@ class ExperimentConfig:
             ("lambda_d", self.lambda_d is None or 0 < self.lambda_d <= MAX_RATE,
              f"in (0, {MAX_RATE:g}]"),
             ("lambda_a", 0 < self.lambda_a <= MAX_RATE, f"in (0, {MAX_RATE:g}]"),
+            ("arrival", self.arrival in ARRIVAL_KINDS, f"one of {ARRIVAL_KINDS}"),
         ):
             if not ok:
                 raise ConfigError(f"{name} must be {bound}, got {getattr(self, name)!r}")
-        ArrivalProcess(self.arrival, self.lambda_a)  # checks the kind
 
     def resolve_budget(self, n: int) -> int:
         if self.budget is None:
@@ -256,12 +258,8 @@ class Simulation:
         self.state = ClusterState(fleet_capacities(self.dataset, hosts))
         self.budget = config.resolve_budget(self.state.n)
         self.trace = build_trace(self.dataset, config.replicas, (config.seed, _TRACE))
-        self.schedule = (
-            build_arrivals(ArrivalProcess(config.arrival, config.lambda_a), len(self.trace),
-                           (config.seed, _ARRIVALS), config.max_slots)
-            if self.trace
-            else []
-        )
+        self._arrivals = arrivals(config.arrival, config.lambda_a, len(self.trace),
+                                  (config.seed, _ARRIVALS))
         self.policy = PolicyConfig(config.policy)
         self.controller = None
         if config.policy == "apsr":
@@ -337,8 +335,7 @@ class Simulation:
 
         self._process_departures()
 
-        if slot < len(self.schedule):
-            self._arrived += self.schedule[slot]
+        self._arrived += next(self._arrivals, 0)
 
         if self.controller is not None and self.controller.due(slot):
             self.metrics.controller_queries += self.controller.tick(state, self.dataset.flavors)

@@ -1,4 +1,4 @@
-"""Datasets, request traces, arrival schedules, and host-fleet sizing.
+"""Datasets, request traces, per-slot arrival counts, and host-fleet sizing.
 
 Three request mixes ship with the package (nfv, google, amazon) in a plain-text
 table format that also accepts user-supplied files:
@@ -19,17 +19,18 @@ places of any of them (at most 9), they are stored as integers in units of
 10^-p, so all resource arithmetic downstream is exact.  Every host capacity
 coordinate must be positive, since a host's load divides by it.
 
-Arrivals per slot are Poisson at a set rate; under "mmpp" the rate drops to
-``MMPP_RATE_LOW`` once ``MMPP_SWITCH`` of the trace has arrived.
+A slot's arrivals are one Poisson draw at a set rate, made when the slot reads
+them; under "mmpp" the rate drops to ``MMPP_RATE_LOW`` once ``MMPP_SWITCH`` of
+the trace has arrived.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
-from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -48,6 +49,7 @@ MAX_DECIMALS = 9
 #: Highest arrival or departure rate per slot: numpy's Poisson sampler refuses
 #: rates past int64's maximum less ten standard deviations (about 9.22e18).
 MAX_RATE = 9.2e18
+ARRIVAL_KINDS = ("poisson", "mmpp")
 #: The mmpp process's rate once ``MMPP_SWITCH`` of the trace has arrived.
 MMPP_RATE_LOW = 5.0
 MMPP_SWITCH = 0.2
@@ -187,7 +189,6 @@ def _amounts(tokens: list[str]) -> tuple[Decimal, ...]:
     return values
 
 
-@lru_cache(maxsize=None)
 def load_dataset(name_or_path: str) -> DatasetSpec:
     """Load an embedded dataset by name, or a user table from a file path."""
     if name_or_path in DATASET_NAMES:
@@ -238,37 +239,21 @@ def build_trace(spec: DatasetSpec, replicas: int, seed) -> list[Request]:
     return [Request(i, items[j]) for i, j in enumerate(order)]
 
 
-@dataclass(frozen=True)
-class ArrivalProcess:
-    """Per-slot arrival counts: plain Poisson, or rate-switching Poisson that
-    drops from `rate` to ``MMPP_RATE_LOW`` once ``MMPP_SWITCH`` of the trace arrived."""
-
-    kind: str  # "poisson" | "mmpp"
-    rate: float
-
-    def __post_init__(self):
-        if self.kind not in ("poisson", "mmpp"):
-            raise ConfigError(f"unknown arrival process {self.kind!r}")
-        if not 0 < self.rate <= MAX_RATE:
-            raise ConfigError(f"arrival rate must be in (0, {MAX_RATE:g}], got {self.rate}")
-
-
-def build_arrivals(process: ArrivalProcess, trace_length: int, seed, max_slots: int) -> list[int]:
-    """Draw per-slot arrival counts until the trace is exhausted (last slot
-    truncated) or the schedule holds ``max_slots`` slots, the most a run reads."""
-    if trace_length < 1:
-        raise ConfigError(f"trace_length must be >= 1, got {trace_length}")
+def arrivals(kind: str, rate: float, trace_length: int, seed) -> Iterator[int]:
+    """Yield one slot's arrival count per ``next()`` until the whole trace has
+    arrived (the last count truncated): Poisson at ``rate``, or under "mmpp" at
+    ``MMPP_RATE_LOW`` once ``MMPP_SWITCH`` of the trace has arrived."""
+    if kind not in ARRIVAL_KINDS:
+        raise ConfigError(f"unknown arrival process {kind!r}")
+    if not 0 < rate <= MAX_RATE:
+        raise ConfigError(f"arrival rate must be in (0, {MAX_RATE:g}], got {rate}")
     rng = np.random.default_rng(seed)
-    counts: list[int] = []
     arrived = 0
-    while arrived < trace_length and len(counts) < max_slots:
-        rate = process.rate
-        if process.kind == "mmpp" and arrived >= MMPP_SWITCH * trace_length:
-            rate = MMPP_RATE_LOW
-        c = min(int(rng.poisson(rate)), trace_length - arrived)
-        counts.append(c)
-        arrived += c
-    return counts
+    while arrived < trace_length:
+        switched = kind == "mmpp" and arrived >= MMPP_SWITCH * trace_length
+        count = min(int(rng.poisson(MMPP_RATE_LOW if switched else rate)), trace_length - arrived)
+        arrived += count
+        yield count
 
 
 @dataclass

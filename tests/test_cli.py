@@ -160,6 +160,7 @@ class TestSimulate:
             ("alpha", "preset = nfv\nalpha = 0\n"),
             ("period", "preset = nfv\nT = 0\n"),
             ("estimator", "preset = nfv\nestimator = exact\n"),
+            ("arrival", "preset = nfv\narrival = bursty\n"),
             ("dataset", "dataset = azure\npolicy = ff\ns = 1\n"),
             ("fleet", f"dataset = {table}\npolicy = ff\ns = 1\n"),
             ("controller", "preset = nfv\ncontroller = true\n"),

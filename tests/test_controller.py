@@ -158,7 +158,7 @@ class TestControllerTick:
         assert controller.due(0) and controller.due(20)
         assert not controller.due(5)
 
-    def test_fleet_cache_matches_fresh_computation(self):
+    def test_tick_sizes_the_fleet_with_max_paral(self):
         n = 150
         controller = ApsrController(n, 0.05, n, estimator="oracle")
         for k in (150, 80, 80, 20, 150):

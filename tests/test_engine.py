@@ -1,6 +1,7 @@
 """Simulation engine: slot mechanics, accounting, determinism, causality."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from apsr import (
     ExperimentConfig,
     HostView,
     Simulation,
+    arrivals,
     choose,
     make_config,
     run_experiment,
@@ -126,7 +128,7 @@ class TestSlotMechanics:
             make_config(dataset=tiny_dataset, hosts=1, policy="ff", schedulers=2, seed=0)
         )
         # the whole trace arrives in slot 0, so both requests are pending together
-        sim.schedule = [len(sim.trace)]
+        sim._arrivals = iter([len(sim.trace)])
         sim.run_slot()
         m = sim.metrics
         assert (m.attempts, m.successes, m.declines_collision) == (2, 1, 1)
@@ -174,10 +176,21 @@ class TestSlotMechanics:
 
     def test_arrivals_drawn_for_at_most_max_slots(self):
         """At a rate too low to bring a request in within max_slots, the run
-        stops there truncated: the schedule is not drawn on past max_slots."""
+        stops there truncated: no slot past max_slots draws its arrivals."""
         metrics = run_experiment(make_config("nfv", lambda_a=1e-12, max_slots=50))
         assert metrics.truncated
         assert (metrics.slots, metrics.attempts) == (50, 0)
+
+    def test_truncated_run_attempts_the_first_counts_drawn(self):
+        """A run cut at max_slots attempts exactly the requests of the first
+        max_slots counts its config's arrival stream yields."""
+        config = small_nfv(policy="ff", schedulers=1_000, arrival="mmpp", max_slots=12)
+        sim = Simulation(config)
+        metrics = sim.run()
+        counts = arrivals(config.arrival, config.lambda_a, len(sim.trace),
+                          (config.seed, apsr.engine._ARRIVALS))
+        assert metrics.truncated
+        assert metrics.series.attempts == list(itertools.islice(counts, 12))
 
     def test_finite_lifetimes_recycle_capacity(self, tmp_path):
         path = tmp_path / "churn.txt"

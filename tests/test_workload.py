@@ -1,5 +1,6 @@
-"""Datasets, traces, arrival schedules, and host-fleet sizing."""
+"""Datasets, traces, per-slot arrival counts, and host-fleet sizing."""
 
+import itertools
 import re
 from collections import Counter
 
@@ -7,10 +8,9 @@ import numpy as np
 import pytest
 
 from apsr import (
-    ArrivalProcess,
     ConfigError,
     Simulation,
-    build_arrivals,
+    arrivals,
     build_trace,
     fleet_capacities,
     load_dataset,
@@ -69,6 +69,17 @@ class TestDatasetFiles:
         assert spec.name == "tiny"
         assert spec.requests_per_replica == 5
         assert spec.flavor_counts["0.5x0.25"] == 3
+
+    def test_rewritten_file_is_read_again(self, tmp_path):
+        """Each load parses the file as it is now, into a spec of its own."""
+        path = tmp_path / "t.txt"
+        path.write_text("resources cpu mem\nhost 1 1 1\nflavor 0.5 0.5 1\n")
+        first = load_dataset(str(path))
+        path.write_text("resources cpu mem\nhost 1 1 1\nflavor 0.25 0.25 1\n")
+        second = load_dataset(str(path))
+        assert [f.id for f in first.flavors] == ["0.5x0.5"]
+        assert [f.id for f in second.flavors] == ["0.25x0.25"]
+        assert second is not first
 
     @pytest.mark.parametrize(
         "text",
@@ -200,20 +211,15 @@ class TestBuildTrace:
             build_trace(load_dataset("nfv"), 0, seed=0)
 
 
-MAX_SLOTS = 1_000_000  # the default run length: never reached by these schedules
-
-
-class TestBuildArrivals:
+class TestArrivals:
     def test_total_equals_trace_length(self):
-        counts = build_arrivals(ArrivalProcess("poisson", 20.0), 13_110, seed=0,
-                                max_slots=MAX_SLOTS)
+        counts = list(arrivals("poisson", 20.0, 13_110, seed=0))
         assert sum(counts) == 13_110
         assert all(c >= 0 for c in counts)
         assert len(counts) == pytest.approx(13_110 / 20, rel=0.15)
 
     def test_empirical_mean_converges(self):
-        counts = build_arrivals(ArrivalProcess("poisson", 20.0), 40_000, seed=1,
-                                max_slots=MAX_SLOTS)
+        counts = list(arrivals("poisson", 20.0, 40_000, seed=1))
         # drop the truncated last slot from the mean
         counts = np.array(counts[:-1])
         se = np.sqrt(20.0 / counts.size)
@@ -221,28 +227,34 @@ class TestBuildArrivals:
 
     def test_zero_rate_rejected(self):
         with pytest.raises(ConfigError):
-            ArrivalProcess("poisson", 0.0)
+            next(arrivals("poisson", 0.0, 10, seed=0))
 
     @pytest.mark.parametrize("rate", [float("inf"), float("nan"), 1e300, 9.3e18])
     def test_rate_past_the_poisson_sampler_rejected(self, rate):
         with pytest.raises(ConfigError, match="arrival rate must be in"):
-            ArrivalProcess("poisson", rate)
+            next(arrivals("poisson", rate, 10, seed=0))
 
-    def test_schedule_stops_at_max_slots(self):
-        """A run reads at most max_slots slots, so no more are drawn; the ones
-        drawn are the first slots of the uncapped schedule."""
-        full = build_arrivals(ArrivalProcess("poisson", 20.0), 13_110, seed=0, max_slots=MAX_SLOTS)
-        capped = build_arrivals(ArrivalProcess("poisson", 20.0), 13_110, seed=0, max_slots=50)
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigError, match="unknown arrival process 'bursty'"):
+            next(arrivals("bursty", 20.0, 10, seed=0))
+
+    def test_empty_trace_yields_nothing(self):
+        assert list(arrivals("poisson", 20.0, 0, seed=0)) == []
+
+    def test_capped_read_is_the_head_of_the_full_read(self):
+        """A run that stops after 50 slots reads the first 50 counts of the
+        whole trace's draws; at a tiny rate those are all zero."""
+        full = list(arrivals("poisson", 20.0, 13_110, seed=0))
+        capped = list(itertools.islice(arrivals("poisson", 20.0, 13_110, seed=0), 50))
         assert capped == full[:50]
-        tiny_rate = build_arrivals(ArrivalProcess("poisson", 1e-12), 13_110, seed=0, max_slots=50)
-        assert tiny_rate == [0] * 50
+        tiny_rate = itertools.islice(arrivals("poisson", 1e-12, 13_110, seed=0), 50)
+        assert list(tiny_rate) == [0] * 50
 
     def test_highest_rate_draws(self):
-        process = ArrivalProcess("poisson", MAX_RATE)
-        assert build_arrivals(process, 10, seed=0, max_slots=MAX_SLOTS) == [10]
+        assert list(arrivals("poisson", MAX_RATE, 10, seed=0)) == [10]
 
     def test_mmpp_switches_rate_after_fraction(self):
-        counts = build_arrivals(ArrivalProcess("mmpp", 20.0), 10_000, seed=2, max_slots=MAX_SLOTS)
+        counts = list(arrivals("mmpp", 20.0, 10_000, seed=2))
         cumulative = np.cumsum(counts)
         switch_slot = int(np.searchsorted(cumulative, MMPP_SWITCH * 10_000))
         head = np.array(counts[:switch_slot])

@@ -9,7 +9,8 @@ keeps the command's stdout next to the files it writes:
 
 - `apsr simulate --seeds 0,1,2` for the presets nfv, google, amazon and
   nfv-mmpp; nfv with the oracle estimator at T=1; nfv-mmpp with the avg
-  estimator; nfv with budget 40%, T=3 and alpha=0.3; nfv with a fixed fleet
+  estimator; nfv-mmpp cut at max_slots = 300, before its trace has arrived;
+  nfv with budget 40%, T=3 and alpha=0.3; nfv with a fixed fleet
   of s=10 under each of the seven snapshot policies; amazon (two host shapes)
   with s=10 under distfromdiag; and google (5,989 hosts) with s=10 under wf;
 - `apsr simulate --seeds 4294967301,18446744073709551623` (2^32 + 5 and
@@ -47,6 +48,8 @@ CONFIGS = {
     "nfv-mmpp": "nfv-mmpp",
     "nfv-oracle-t1": "preset = nfv\nestimator = oracle\nT = 1\n",
     "nfv-mmpp-avg": "preset = nfv-mmpp\nestimator = avg\n",
+    # cut before the trace has arrived, so the run loop alone ends the arrivals
+    "nfv-mmpp-300": "preset = nfv-mmpp\nmax_slots = 300\n",
     "nfv-window": "preset = nfv\nbudget = 40%\nT = 3\nalpha = 0.3\n",
     **{
         f"nfv-{kind}-s10": f"preset = nfv\npolicy = {kind}\ns = 10\n"
