@@ -94,10 +94,11 @@ class ClusterState:
 
     One instance is owned by a single simulation run; parallel experiments use
     independently constructed states.  Row h of ``available`` always equals
-    ``capacity[h]`` minus the sum of the demands placed on host h.
-    ``resident_ids`` lists the placed request ids in swap-remove order: a
-    placement appends its id, and a completion moves the last id into the
-    freed position.  Departure draws index this order.
+    ``capacity[h]`` minus the sum of the demands placed on host h, and it
+    changes only through ``place`` and ``complete``, which mark host h stale
+    for ``census``.  ``resident_ids`` lists the placed request ids in
+    swap-remove order: a placement appends its id, and a completion moves the
+    last id into the freed position.  Departure draws index this order.
     """
 
     def __init__(self, capacities: Iterable[Iterable[int]]):
@@ -112,6 +113,8 @@ class ClusterState:
         self.available = self.capacity.copy()
         self.placements: dict[int, Placement] = {}
         self.resident_ids: list[int] = []
+        self._stale: set[int] = set()  # hosts placed on or released since the last census
+        self._counted: tuple[ResourceVector, ...] | None = None  # demands _fit/_counts hold
 
     @property
     def n(self) -> int:
@@ -139,6 +142,7 @@ class ClusterState:
         if not fits(demand, self.available[host_id]):
             return False
         self.available[host_id] -= demand
+        self._stale.add(host_id)
         self.placements[request.id] = Placement(host_id, demand, len(self.resident_ids))
         self.resident_ids.append(request.id)
         return True
@@ -149,6 +153,7 @@ class ClusterState:
         if placement is None:
             raise ModelError(f"request {request_id} is not placed")
         self.available[placement.host_id] += placement.demand
+        self._stale.add(placement.host_id)
         last = self.resident_ids.pop()
         if last != request_id:
             self.resident_ids[placement.index] = last
@@ -156,17 +161,31 @@ class ClusterState:
         return placement.host_id
 
     def census(self, flavors: Iterable[Flavor]) -> AvailabilityCensus:
-        """Exact per-flavor available-host counts for the current state, counted
-        for every flavor at once, one resource column at a time."""
+        """Exact per-flavor available-host counts for the current state.
+
+        The state keeps the host x flavor fit matrix and its column sums for
+        the demand vectors it last counted.  For the same demands it refits
+        only the hosts placed on or released since then and corrects the sums
+        by the change in those rows; other demands refit every host.
+        """
         flavors = list(flavors)
-        for flavor in flavors:
-            if len(flavor.demand) != self.dim:
-                raise ModelError(f"flavor {flavor.id!r} has dimension {len(flavor.demand)}, "
-                                 f"cluster has {self.dim}")
-        demands = np.array([f.demand for f in flavors], dtype=np.int64).reshape(-1, self.dim)
-        columns = zip(self.available.T, demands.T)
-        counts = np.logical_and.reduce([a[:, None] >= w for a, w in columns]).sum(axis=0)
-        return AvailabilityCensus(dict(zip([f.id for f in flavors], counts.tolist())))
+        demands = tuple(f.demand for f in flavors)
+        if demands != self._counted:
+            for flavor in flavors:
+                if len(flavor.demand) != self.dim:
+                    raise ModelError(f"flavor {flavor.id!r} has dimension {len(flavor.demand)}, "
+                                     f"cluster has {self.dim}")
+            self._demands = np.array(demands, dtype=np.int64).reshape(-1, self.dim)
+            self._fit = (self.available[:, None, :] >= self._demands).all(axis=2)
+            self._counts = self._fit.sum(axis=0)
+            self._counted = demands
+        elif self._stale:
+            rows = np.fromiter(self._stale, np.intp, len(self._stale))
+            new = (self.available[rows, None, :] >= self._demands).all(axis=2)
+            self._counts += new.sum(axis=0) - self._fit[rows].sum(axis=0)
+            self._fit[rows] = new
+        self._stale.clear()
+        return AvailabilityCensus(dict(zip([f.id for f in flavors], self._counts.tolist())))
 
     def utilization(self) -> float:
         """Fraction of total capacity in use, summed over all coordinates."""

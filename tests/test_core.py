@@ -264,8 +264,10 @@ class TestCensus:
         flavors = [flavor(32, 40), flavor(190, 540), flavor(500, 500)]
         assert state.census(flavors).per_flavor == census_brute(state, flavors)
 
-    @given(census_cases())
-    def test_matches_brute_force_after_every_step(self, case):
+    @given(census_cases(), st.integers(1, 4))
+    def test_matches_brute_force_read_every_few_steps(self, case, every):
+        """The census is read after every ``every`` steps, so up to four
+        hosts change between two reads of the kept counts."""
         caps, flavors, steps = case
         state = ClusterState(caps)
         alive: list[int] = []
@@ -276,7 +278,42 @@ class TestCensus:
                     alive.append(rid)
             else:
                 state.complete(alive.pop(index % len(alive)))
-            assert state.census(flavors).per_flavor == census_brute(state, flavors)
+            if rid % every == every - 1:
+                assert state.census(flavors).per_flavor == census_brute(state, flavors)
+        assert state.census(flavors).per_flavor == census_brute(state, flavors)
+
+    def test_flavor_list_changes_between_calls(self):
+        state = ClusterState([UNIT] * 6)
+        for rid, (host, demand) in enumerate([(0, (900, 100)), (1, (500, 500)),
+                                              (2, (100, 900)), (3, (700, 700))]):
+            assert state.place(request(rid, *demand), host)
+        flavors = [flavor(300, 300), flavor(600, 100), flavor(100, 600)]
+        for listed in (flavors, flavors[1:], flavors[::-1], flavors + [flavor(400, 400)],
+                       [flavor(300, 300, fid="renamed")], flavors):
+            assert state.census(listed).per_flavor == census_brute(state, listed)
+            state.place(request(len(state.placements) + 10, 50, 50), 5)
+            assert state.census(listed).per_flavor == census_brute(state, listed)
+
+    def test_place_and_complete_on_one_host_between_reads(self):
+        state = ClusterState([UNIT] * 3)
+        flavors = [flavor(300, 300), flavor(800, 800)]
+        before = state.census(flavors).per_flavor
+        assert state.place(request(1, 500, 500), 1)
+        assert state.place(request(2, 300, 300), 1)
+        state.complete(1)
+        assert state.census(flavors).per_flavor == census_brute(state, flavors)
+        assert state.census(flavors).per_flavor == {"300x300": 3, "800x800": 2}
+        state.complete(2)
+        assert state.census(flavors).per_flavor == before
+
+    def test_declined_place_keeps_the_counts(self):
+        state = ClusterState([UNIT] * 2)
+        flavors = [flavor(300, 300), flavor(600, 600)]
+        assert state.place(request(1, 700, 700), 0)
+        before = state.census(flavors).per_flavor
+        assert not state.place(request(2, 400, 400), 0)
+        assert not state._stale
+        assert state.census(flavors).per_flavor == before == census_brute(state, flavors)
 
     def test_census_monotone_under_place_and_complete(self):
         state = ClusterState([UNIT] * 5)

@@ -8,7 +8,8 @@ OLD_SRC and NEW_SRC are directories holding the `apsr` package (a checkout's
 keeps the command's stdout next to the files it writes:
 
 - `apsr simulate --seeds 0,1,2` for the presets nfv, google, amazon and
-  nfv-mmpp; nfv with the oracle estimator at T=1; nfv-mmpp with the avg
+  nfv-mmpp; nfv, nfv-mmpp (departures under the census) and amazon (two host
+  shapes, 15 flavors) with the oracle estimator at T=1; nfv-mmpp with the avg
   estimator; nfv-mmpp cut at max_slots = 300, before its trace has arrived;
   nfv with budget 40%, T=3 and alpha=0.3; nfv with a fixed fleet
   of s=10 under each of the seven snapshot policies; amazon (two host shapes)
@@ -47,6 +48,10 @@ CONFIGS = {
     "amazon": "amazon",
     "nfv-mmpp": "nfv-mmpp",
     "nfv-oracle-t1": "preset = nfv\nestimator = oracle\nT = 1\n",
+    # departures between two censuses
+    "nfv-mmpp-oracle": "preset = nfv-mmpp\nestimator = oracle\nT = 1\n",
+    # two host shapes and 15 flavors under the census
+    "amazon-oracle-t1": "preset = amazon\nestimator = oracle\nT = 1\n",
     "nfv-mmpp-avg": "preset = nfv-mmpp\nestimator = avg\n",
     # cut before the trace has arrived, so the run loop alone ends the arrivals
     "nfv-mmpp-300": "preset = nfv-mmpp\nmax_slots = 300\n",
