@@ -111,6 +111,7 @@ class ClusterState:
             raise ModelError("total capacity does not fit in int64")
         self.capacity = np.array(caps, dtype=np.int64)
         self.available = self.capacity.copy()
+        self._total = int(self.capacity.sum())  # capacity never changes
         self.placements: dict[int, Placement] = {}
         self.resident_ids: list[int] = []
         self._stale: set[int] = set()  # hosts placed on or released since the last census
@@ -189,5 +190,4 @@ class ClusterState:
 
     def utilization(self) -> float:
         """Fraction of total capacity in use, summed over all coordinates."""
-        total = int(self.capacity.sum())
-        return (total - int(self.available.sum())) / total
+        return (self._total - int(self.available.sum())) / self._total

@@ -4,18 +4,19 @@ snapshot, contended resolution at hosts, metric accumulation, controller ticks.
 Each slot proceeds in a fixed order: departures, arrivals, controller tick (on
 period boundaries), scheduler decisions, randomized resolution, metrics.  A
 slot's arrival count is drawn when the slot starts, so only ``max_slots`` bounds
-how many slots a run draws.  Every
-scheduler reads one shared view of the start-of-slot snapshot.  A deterministic
-kind (ff, wf, adaptive, distfromdiag) decides once per distinct demand per slot;
-the random, ffr and wfr schedulers and the sampling agents each own the stream
-SeedSequence((seed, 3, slot, i)), so no decision depends on the order they are
-evaluated in.  Assignments then resolve against the live state in the random
-order of SeedSequence((seed, 4, slot)); one fails if its host can no longer take
-its request.  Streams are hashed 32 slots at a time and set on reused generators.
-Declined requests are not re-queued: each request gets a single placement
-attempt, in trace order, so the pending queue is the slice of the trace that
-has arrived but not been attempted.  Departures draw positions in the cluster
-state's swap-remove order of residents.
+how many slots a run draws.  Every scheduler reads one shared view of the
+start-of-slot snapshot.  A deterministic kind (ff, wf, adaptive, distfromdiag)
+decides once per distinct demand per slot; the random, ffr and wfr schedulers
+and the sampling agents each own the stream SeedSequence((seed, 3, slot, i)), so
+no decision depends on the order they are evaluated in.  Sampling agents bound
+their streams' raw words as numpy's ``integers`` does (Lemire's multiply-shift
+step) and test fits only at the hosts they sampled.  Assignments then resolve
+against the live state in the random order of SeedSequence((seed, 4, slot)); one
+fails if its host can no longer take its request.  Streams are hashed 32 slots at
+a time and set on reused generators.  Declined requests are not re-queued: each
+request gets a single placement attempt, in trace order, so the pending queue is
+the slice of the trace that has arrived but not been attempted.  Departures draw
+positions in the cluster state's swap-remove order of residents.
 """
 
 from __future__ import annotations
@@ -76,6 +77,36 @@ def _pcg64_streams(generators: list, seed_states: np.ndarray) -> list[np.random.
         generator.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                                          "state": {"state": state & (1 << 128) - 1, "inc": inc}}
     return generators[:len(seed_states)]
+
+
+def _lemire(half, bound: int):
+    """numpy's draw below ``bound`` from a 32-bit ``half``, and whether numpy rejects it."""
+    scaled = half * bound  # half: an int or a uint64 array (NumPy 1.x keeps uint32 * n in uint32)
+    return scaled >> 32, scaled & 0xFFFFFFFF < (1 << 32) % bound  # past 2^32 all reject
+
+
+def _agent_draws(streams: list, n: int, d: int):
+    """``integers(0, n, size=d)`` then ``integers(c)`` on each fresh generator of ``streams``:
+    (agents, d) hosts from raw-word halves 0..d-1, low half first, and ``rank(distinct)`` from
+    the next (half 0 if n = 1: numpy draws no bits below 1), or the generator if one rejects."""
+    halves = np.array([g.bit_generator.random_raw(d // 2 + 1) for g in streams], "<u8").view("<u4")
+    hosts, rejected = _lemire(halves[:, :d].astype(np.uint64), n)
+    redrawn = set()
+    def redraw(j):  # PCG64's period is 2^128 words, so this steps back to the stream's start
+        streams[j].bit_generator.advance((1 << 128) - (d // 2 + 1))
+        hosts[j] = streams[j].integers(0, n, size=d)
+        redrawn.add(j)
+    for j in {i // d for i in np.flatnonzero(rejected).tolist()}:
+        redraw(j)
+    def rank(distinct):  # a count of 0 is bounded as 1: rank 0, never rejected
+        ranks = []
+        for j, (half, c) in enumerate(zip(halves[:, d * (n > 1)].tolist(), distinct.tolist())):
+            value, reject = _lemire(half, max(c, 1))
+            if reject and j not in redrawn:
+                redraw(j)
+            ranks.append(streams[j].integers(c) if c and j in redrawn else value)
+        return ranks
+    return hosts.view(np.int64), rank
 
 
 @dataclass
@@ -272,14 +303,16 @@ class Simulation:
         self._host_ids = np.arange(self.state.n)
         self._rng_departures = np.random.default_rng((config.seed, _DEPARTURES))
         self._keys, self._rngs = {}, []  # slot -> (agents', resolve seed states); generators
+        self._width = 0  # agent keys hashed per slot: the most agents any slot has needed
 
     def _streams(self, slot: int, indices: list[int] | None) -> list[np.random.Generator]:
         """Reused generators drawing as ``default_rng((seed, _SCHEDULER, slot, i))`` per i, or
-        (seed, _RESOLVE, slot) for None; hashed 32 slots at once, again from a wider slot."""
+        (seed, _RESOLVE, slot) for None; hashed 32 slots at once, as wide as the widest slot yet."""
         width = 0 if indices is None else max(indices) + 1
         if slot not in self._keys or width > len(self._keys[slot][0]):
             seed, slots = self.config.seed, np.arange(slot, slot + 32)  # past 2^32 - 1: unread
-            agents = _seed_states([seed, _SCHEDULER, slots[:, None], np.arange(width)])
+            self._width = max(self._width, width)
+            agents = _seed_states([seed, _SCHEDULER, slots[:, None], np.arange(self._width)])
             resolves = _seed_states([seed, _RESOLVE, slots])
             self._keys = dict(zip(slots.tolist(), zip(agents, resolves)))
         agents, resolve = self._keys[slot]
@@ -306,8 +339,8 @@ class Simulation:
         random, ffr and wfr kinds and the sampling agents, scheduler i's own
         (seed, slot, i) stream, so the order of the pairs changes no target.
         Deterministic kinds call ``choose`` once per distinct demand, the other
-        snapshot kinds once per pair; sampling agents draw their d-samples, then
-        all pick in one call to the Monte-Carlo game's kernel.
+        snapshot kinds once per pair; sampling agents draw d hosts from raw words,
+        test fits there alone, then all pick in one call to the Monte-Carlo game's kernel.
         """
         pairs = list(schedulers)
         if self.policy.kind in DETERMINISTIC_KINDS:  # one view and one demand give one pick
@@ -319,14 +352,11 @@ class Simulation:
         streams = self._streams(slot, [i for i, _ in pairs])
         if self.policy.kind != "apsr":
             return [choose(self.policy, view, r, rng) for (_, r), rng in zip(pairs, streams)]
-        n, d = self.state.n, self.controller.d
-        rows = np.array([rng.integers(0, n, size=d) for rng in streams])
-        fits = np.array([view.fit_mask(r.flavor.demand)[row] for row, (_, r) in zip(rows, pairs)])
+        n = self.state.n
+        rows, rank = _agent_draws(streams, n, self.controller.d)
+        demands = np.array([r.flavor.demand for _, r in pairs]).T[:, :, None]  # fit only at rows
+        fits = (view.available.T.take(rows, axis=1) >= demands).all(axis=0)
         self.controller.record([r.flavor.id for _, r in pairs], fits.sum(axis=1).tolist())
-
-        def rank(distinct):  # a second draw only for agents that saw a fitting host
-            return [rng.integers(c) if c else 0 for rng, c in zip(streams, distinct.tolist())]
-
         picks = pick_distinct(np.where(fits, view.ids[rows], n), n, rank)  # host ids are below n
         return [None if p == n else p for p in picks.tolist()]
 

@@ -48,9 +48,9 @@ class HostView:
     """What a scheduler sees: every host id once, with its availability and
     capacity rows in integer resource units.
 
-    A view is treated as read-only: host loads, the capacity scale and the fit
-    mask of each demand vector are computed on first use and cached, so all
-    decisions of a slot share one view of the slot-start snapshot.
+    A view is treated as read-only: host loads, the capacity scale and, for
+    ``choose``, the fit mask of each demand vector are computed on first use and
+    cached, so all decisions of a slot share one view of the slot-start snapshot.
     """
 
     ids: np.ndarray

@@ -19,7 +19,7 @@ from apsr import (
     make_config,
     run_experiment,
 )
-from apsr.engine import _pcg64_streams, _seed_states
+from apsr.engine import _agent_draws, _pcg64_streams, _seed_states
 from apsr.workload import MAX_RATE
 from oracles import replay_sampling_decisions
 
@@ -33,6 +33,18 @@ def tiny_dataset(tmp_path):
         "flavor 0.6 0.6 2\n"
     )
     return str(path)
+
+
+class CountingStream:
+    """A generator whose ``integers`` calls are counted: the sampling agents call it only
+    to redraw after a rejected raw half."""
+
+    def __init__(self, rng):
+        self.bit_generator, self.calls, self._rng = rng.bit_generator, 0, rng
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self._rng.integers(*args, **kwargs)
 
 
 def small_nfv(**overrides) -> ExperimentConfig:
@@ -281,14 +293,59 @@ class TestSamplingDecisions:
         for available, slot, pairs, d, targets in checked:
             assert targets == replay_sampling_decisions(5, slot, pairs, available, d)
 
+    def test_redraw_in_a_run_matches_plain_replay(self, monkeypatch):
+        """In nfv-mmpp seed 2, an agent of slot 1333 draws a raw half that numpy rejects.
+        It redraws on its generator, and every slot still decides as the plain replay."""
+        sim = Simulation(make_config("nfv-mmpp", seed=2, max_slots=1334))
+        counted = []
+
+        def spy(streams, n, d):
+            streams = [CountingStream(rng) for rng in streams]
+            counted.append((sim.slot, streams))
+            return _agent_draws(streams, n, d)
+
+        monkeypatch.setattr(apsr.engine, "_agent_draws", spy)
+        def replay(view, slot, pairs):
+            available = view.available.tolist()
+            return replay_sampling_decisions(2, slot, pairs, available, sim.controller.d)
+
+        seen = TestStreamBlocks.spy_decisions(sim, replay)
+        sim.run()
+        assert sim.metrics.slots == 1334 and len(seen) > 1300
+        assert [slot for slot, streams in counted if any(s.calls for s in streams)] == [1333]
+        for targets, replayed in seen:
+            assert targets == replayed
+
 
 class TestStreamBlocks:
     """Stream keys are hashed for a block of slots at once and set on reused
     generators; every stream still draws exactly as a fresh ``default_rng(key)``."""
 
+    @staticmethod
+    def assert_agent_draws(rng, key, n: int, d: int, c: int) -> bool:
+        """``_agent_draws`` on the fresh generator ``rng`` of ``key`` draws as
+        ``default_rng(key).integers(0, n, d)`` then ``integers(c)``, and calls ``integers``
+        exactly when numpy rejects one of those halves, as this plain recount finds.
+        Returns whether it did."""
+        words = np.random.default_rng(key).bit_generator.random_raw(d // 2 + 1).tolist()
+        halves = [word >> shift & 0xFFFFFFFF for word in words for shift in (0, 32)]
+        bounds = [n] * d + [c] if n > 1 else [c]  # below 1, numpy draws no bits
+        rejected = any(h * bound % 2**32 < 2**32 % bound for h, bound in zip(halves, bounds))
+        stream = CountingStream(rng)
+        hosts, rank = _agent_draws([stream], n, d)
+        fresh = np.random.default_rng(key)
+        assert hosts.tolist() == [fresh.integers(0, n, d).tolist()]
+        assert [int(r) for r in rank(np.array([c]))] == [fresh.integers(c)]
+        assert (stream.calls > 0) == rejected
+        return rejected
+
+    # bounds near 2^31 + 1 reject about half of all 32-bit halves, 3 * 2^30 + 1 a quarter
+    bounds = (st.integers(2**31 - 8, 2**31 + 8)
+              | st.sampled_from([1, 2, 3 * 2**30 + 1, 2**32 - 1, 2**32]))
+
     @given(seed=st.integers(0, 2**96 - 1), tag=st.sampled_from([3, 4]),
            slot=st.integers(0, 2**32 - 1), index=st.none() | st.integers(0, 2**16 - 1),
-           n=st.integers(1, 10**6), d=st.integers(1, 64), c=st.integers(1, 1000),
+           n=st.integers(1, 10**6) | bounds, d=st.integers(1, 64), c=st.integers(1, 1000) | bounds,
            m=st.integers(0, 64))
     def test_set_generators_draw_as_default_rng(self, seed, tag, slot, index, n, d, c, m):
         key = (seed, tag, slot) if index is None else (seed, tag, slot, index)
@@ -301,6 +358,16 @@ class TestStreamBlocks:
         assert ours.integers(0, n, d).tolist() == fresh.integers(0, n, d).tolist()
         assert ours.integers(c) == fresh.integers(c)
         assert ours.permutation(m).tolist() == fresh.permutation(m).tolist()
+        self.assert_agent_draws(_pcg64_streams([used], states)[0], key, n, d, c)
+
+    @pytest.mark.parametrize("n, d, c", [
+        (2**31 + 1, 27, 1), (837, 27, 2**31 + 1), (1, 5, 2**31 + 1), (2**32, 1, 1)])
+    def test_rejected_halves_redraw_as_numpy(self, n, d, c):
+        """Host halves that reject (n = 2^31 + 1), rank halves that reject (a large c),
+        and a bound of 2^32, where Lemire's step never rejects."""
+        keys = [(0, 3, slot, 0) for slot in range(8)]
+        redrew = [self.assert_agent_draws(np.random.default_rng(key), key, n, d, c) for key in keys]
+        assert any(redrew) == (n < 2**32)
 
     @staticmethod
     def spy_hashes(monkeypatch):
@@ -335,10 +402,13 @@ class TestStreamBlocks:
         assert any(first >= 32 for first, _ in hashes)  # past the first 32-slot block
         # a slot wider than its block re-hashed before the block ran out
         assert any(b[0] - a[0] < 32 and b[1] > a[1] for a, b in zip(hashes, hashes[1:]))
+        # and every block is hashed as wide as the widest slot before it
+        assert all(b[1] >= a[1] for a, b in zip(hashes, hashes[1:]))
 
     def test_apsr_blocks_match_plain_replay(self, monkeypatch):
         hashes = self.spy_hashes(monkeypatch)
-        sim = Simulation(small_nfv(lambda_a=3.0, seed=5))  # few arrivals: widths vary
+        # few arrivals on 100 hosts: the controller's fleet, so the slots' widths, grow mid-block
+        sim = Simulation(small_nfv(hosts=100, lambda_a=3.0, seed=5))
         seen = self.spy_decisions(sim, lambda view, slot, pairs: replay_sampling_decisions(
             5, slot, pairs, view.available.tolist(), sim.controller.d))
         sim.run()
