@@ -11,6 +11,7 @@ back, so completing every request on a host restores its availability exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from numbers import Integral
 from typing import Iterable
 
@@ -47,6 +48,11 @@ def vector(values: Iterable[int]) -> ResourceVector:
 def fits(demand: Iterable[int], available: Iterable[int]) -> bool:
     """demand <= available coordinate-wise (no dimension check)."""
     return all(d <= a for d, a in zip(demand, available))
+
+
+def host_loads(capacity: np.ndarray, available: np.ndarray) -> np.ndarray:
+    """Per-row load: the worst per-resource used fraction (capacities must be positive)."""
+    return reduce(np.maximum, [(c - a) / c for c, a in zip(capacity.T, available.T)])
 
 
 @dataclass(frozen=True)
@@ -95,10 +101,11 @@ class ClusterState:
     One instance is owned by a single simulation run; parallel experiments use
     independently constructed states.  Row h of ``available`` always equals
     ``capacity[h]`` minus the sum of the demands placed on host h, and it
-    changes only through ``place`` and ``complete``, which mark host h stale
-    for ``census``.  ``resident_ids`` lists the placed request ids in
-    swap-remove order: a placement appends its id, and a completion moves the
-    last id into the freed position.  Departure draws index this order.
+    changes only through ``place`` and ``complete``, which mark host h stale:
+    ``census`` and ``snapshot`` refit only the stale hosts of the fit matrix
+    and host loads they keep.  ``resident_ids`` lists the placed request ids
+    in swap-remove order: a placement appends its id, and a completion moves
+    the last id into the freed position.  Departure draws index this order.
     """
 
     def __init__(self, capacities: Iterable[Iterable[int]]):
@@ -112,10 +119,12 @@ class ClusterState:
         self.capacity = np.array(caps, dtype=np.int64)
         self.available = self.capacity.copy()
         self._total = int(self.capacity.sum())  # capacity never changes
+        self._used = 0  # units placed, summed over all coordinates
         self.placements: dict[int, Placement] = {}
         self.resident_ids: list[int] = []
-        self._stale: set[int] = set()  # hosts placed on or released since the last census
+        self._stale: set[int] = set()  # hosts placed on or released since the last refresh
         self._counted: tuple[ResourceVector, ...] | None = None  # demands _fit/_counts hold
+        self._loads: np.ndarray | None = None  # kept from the first snapshot on
 
     @property
     def n(self) -> int:
@@ -143,6 +152,7 @@ class ClusterState:
         if not fits(demand, self.available[host_id]):
             return False
         self.available[host_id] -= demand
+        self._used += sum(demand)
         self._stale.add(host_id)
         self.placements[request.id] = Placement(host_id, demand, len(self.resident_ids))
         self.resident_ids.append(request.id)
@@ -154,6 +164,7 @@ class ClusterState:
         if placement is None:
             raise ModelError(f"request {request_id} is not placed")
         self.available[placement.host_id] += placement.demand
+        self._used -= sum(placement.demand)
         self._stale.add(placement.host_id)
         last = self.resident_ids.pop()
         if last != request_id:
@@ -161,13 +172,28 @@ class ClusterState:
             self.placements[last].index = placement.index
         return placement.host_id
 
+    def _refresh(self, demands: tuple[ResourceVector, ...]) -> None:
+        """Refit the stale hosts' loads, if kept, and fits (every host's for new ``demands``)."""
+        rows = np.fromiter(self._stale, np.intp, len(self._stale)) if self._stale else None
+        self._stale.clear()
+        if rows is not None and self._loads is not None:
+            self._loads[rows] = host_loads(self.capacity[rows], self.available[rows])
+        if demands != self._counted:
+            self._demands = np.array(demands, dtype=np.int64).reshape(-1, 1, self.dim)
+            self._fit = (self.available >= self._demands).all(axis=2)
+            self._counts = self._fit.sum(axis=1)
+            self._counted = demands
+        elif rows is not None:
+            # take gathers faster than fancy indexing, and a census runs every slot
+            new = (self.available.take(rows, 0) >= self._demands).all(axis=2)
+            self._counts += new.sum(axis=1) - self._fit.take(rows, 1).sum(axis=1)
+            self._fit[:, rows] = new
+
     def census(self, flavors: Iterable[Flavor]) -> AvailabilityCensus:
         """Exact per-flavor available-host counts for the current state.
 
-        The state keeps the host x flavor fit matrix and its column sums for
-        the demand vectors it last counted.  For the same demands it refits
-        only the hosts placed on or released since then and corrects the sums
-        by the change in those rows; other demands refit every host.
+        Counting the same demand vectors as the last census or snapshot
+        refits only the hosts placed on or released since then.
         """
         flavors = list(flavors)
         demands = tuple(f.demand for f in flavors)
@@ -176,18 +202,18 @@ class ClusterState:
                 if len(flavor.demand) != self.dim:
                     raise ModelError(f"flavor {flavor.id!r} has dimension {len(flavor.demand)}, "
                                      f"cluster has {self.dim}")
-            self._demands = np.array(demands, dtype=np.int64).reshape(-1, self.dim)
-            self._fit = (self.available[:, None, :] >= self._demands).all(axis=2)
-            self._counts = self._fit.sum(axis=0)
-            self._counted = demands
-        elif self._stale:
-            rows = np.fromiter(self._stale, np.intp, len(self._stale))
-            new = (self.available[rows, None, :] >= self._demands).all(axis=2)
-            self._counts += new.sum(axis=0) - self._fit[rows].sum(axis=0)
-            self._fit[rows] = new
-        self._stale.clear()
+        self._refresh(demands)
         return AvailabilityCensus(dict(zip([f.id for f in flavors], self._counts.tolist())))
 
+    def snapshot(self, demands: tuple[ResourceVector, ...]) -> tuple[dict, np.ndarray | None]:
+        """Copies of the current fit mask of each of ``demands`` and of the host loads,
+        kept from the first call on (None with a zero capacity coordinate)."""
+        if self._loads is None and self.capacity.all():
+            self._loads = host_loads(self.capacity, self.available)
+        self._refresh(demands)
+        loads = None if self._loads is None else self._loads.copy()
+        return dict(zip(demands, self._fit.copy())), loads
+
     def utilization(self) -> float:
-        """Fraction of total capacity in use, summed over all coordinates."""
-        return (self._total - int(self.available.sum())) / self._total
+        """Fraction of total capacity in use, summed over all coordinates (0 with none)."""
+        return self._used / self._total if self._total else 0.0

@@ -301,6 +301,7 @@ class Simulation:
         self.slot = 0
         self._arrived = self._attempted = 0  # trace[_attempted:_arrived] is pending
         self._host_ids = np.arange(self.state.n)
+        self._demands = tuple(f.demand for f in self.dataset.flavors)
         self._rng_departures = np.random.default_rng((config.seed, _DEPARTURES))
         self._keys, self._rngs = {}, []  # slot -> (agents', resolve seed states); generators
         self._width = 0  # agent keys hashed per slot: the most agents any slot has needed
@@ -312,7 +313,8 @@ class Simulation:
         if slot not in self._keys or width > len(self._keys[slot][0]):
             seed, slots = self.config.seed, np.arange(slot, slot + 32)  # past 2^32 - 1: unread
             self._width = max(self._width, width)
-            agents = _seed_states([seed, _SCHEDULER, slots[:, None], np.arange(self._width)])
+            agents = (_seed_states([seed, _SCHEDULER, slots[:, None], np.arange(self._width)])
+                      if self._width else np.empty((slots.size, 0, 4), np.uint64))
             resolves = _seed_states([seed, _RESOLVE, slots])
             self._keys = dict(zip(slots.tolist(), zip(agents, resolves)))
         agents, resolve = self._keys[slot]
@@ -374,7 +376,10 @@ class Simulation:
         active = min(allowed, self._arrived - self._attempted)
         requests = self.trace[self._attempted:self._attempted + active]
         self._attempted += active
-        view = HostView(self._host_ids, state.available.copy(), state.capacity)
+        if self.policy.kind == "apsr":
+            view = HostView(self._host_ids, state.available.copy(), state.capacity)
+        else:  # the state keeps the snapshot kinds' fit masks and loads current
+            view = HostView.of_state(self._host_ids, state, self._demands)
         targets = self.decide(view, slot, enumerate(requests))
         queried = self.controller.d if self.policy.kind == "apsr" else state.n
 

@@ -20,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from .core import MAX_UNITS, ConfigError, Request
+from .core import MAX_UNITS, ClusterState, ConfigError, Request, ResourceVector, host_loads
 
 FULL_SNAPSHOT_KINDS = ("ff", "wf", "random", "ffr", "wfr", "adaptive", "distfromdiag")
 POLICY_KINDS = FULL_SNAPSHOT_KINDS + ("apsr",)
@@ -51,6 +51,7 @@ class HostView:
     A view is treated as read-only: host loads, the capacity scale and, for
     ``choose``, the fit mask of each demand vector are computed on first use and
     cached, so all decisions of a slot share one view of the slot-start snapshot.
+    ``of_state`` fills loads and masks up front from copies of what a ``ClusterState`` keeps.
     """
 
     ids: np.ndarray
@@ -60,13 +61,19 @@ class HostView:
     _scale: int | None = field(default=None, init=False, repr=False, compare=False)
     _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    @classmethod
+    def of_state(cls, ids, state: ClusterState, demands: tuple[ResourceVector, ...]) -> HostView:
+        """The state's current snapshot, its loads and the fit masks of ``demands`` filled in."""
+        view = cls(ids, state.available.copy(), state.capacity)
+        view._masks, view._loads = state.snapshot(demands)
+        return view
+
     def loads(self) -> np.ndarray:
         """Per-row load: the worst per-resource used fraction."""
         if self._loads is None:
             if np.any(self.capacity <= 0):
                 raise ConfigError("zero-capacity coordinate in host view")
-            columns = zip(self.capacity.T, self.available.T)
-            self._loads = reduce(np.maximum, [(c - a) / c for c, a in columns])
+            self._loads = host_loads(self.capacity, self.available)
         return self._loads
 
     def scale(self) -> int:
@@ -109,10 +116,12 @@ def choose(
     if not mask.any():
         return None
 
-    ids = view.ids[mask]
     kind = policy.kind
     if kind == "adaptive":  # view.loads() also rejects zero-capacity coordinates
         kind = "wf" if float(view.loads().mean()) < ADAPTIVE_THRESHOLD else "ff"
+    if kind == "wf":  # unfit hosts get an infinite key; loads are finite
+        return _least(np.where(mask, view.loads(), np.inf), view.ids)
+    ids = view.ids[mask]
     if kind == "ff":
         return int(ids.min())
     if kind == "random":
@@ -122,8 +131,6 @@ def choose(
         return int(candidates[rng.integers(candidates.size)])
 
     loads = view.loads()  # rejects zero-capacity coordinates for every kind below
-    if kind == "wf":
-        return _least(loads[mask], ids)
     if kind == "wfr":
         # rank by (load, id), then pick uniformly among the top LAMBDA_RANK
         candidates = ids[np.lexsort((ids, loads[mask]))][:LAMBDA_RANK]

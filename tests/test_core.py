@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apsr import AvailabilityCensus, ClusterState, Flavor, ModelError, Request, vector
+from apsr import (AvailabilityCensus, ClusterState, ConfigError, Flavor, HostView, ModelError,
+                  Request, vector)
 from apsr.core import fits
 from oracles import ReplayBook, census_brute
 
@@ -187,8 +188,9 @@ class TestClusterProperties:
     def test_random_place_complete_sequences(self, case):
         """After every operation: available == capacity - sum of resident
         demands (recounted in plain ints), no coordinate is negative, place
-        declines exactly when the demand does not fit, and ``resident_ids``
-        lists exactly the residents, each at its placement's index."""
+        declines exactly when the demand does not fit, ``resident_ids``
+        lists exactly the residents, each at its placement's index, and the
+        running utilization equals one from the summed availability."""
         caps, ops = case
         state = ClusterState(caps)
         book = ReplayBook(caps)
@@ -208,6 +210,9 @@ class TestClusterProperties:
             rows = state.available.tolist()
             assert rows == book.expected_available()
             assert min(min(row) for row in rows) >= 0
+            total = sum(map(sum, caps))  # the running total of used units
+            used = (total - sum(map(sum, rows))) / total if total else 0.0
+            assert state.utilization() == used
             assert sorted(state.resident_ids) == sorted(book.resident)
             for i, rid in enumerate(state.resident_ids):
                 assert state.placements[rid].index == i
@@ -332,6 +337,93 @@ class TestCensus:
             AvailabilityCensus({}).min_available
 
 
+@st.composite
+def reader_cases(draw):
+    """A fleet, its flavors (as in ``census_cases``) and a list of (step, index,
+    flavor index, flag) steps: 0 place, 1 complete, 2 census (of the flavors
+    reversed when flag), 3 snapshot view (of the demands of the first flavors,
+    up to index, when flag).  A flagged reader's list can differ from the last
+    reader's, and then it refits every host."""
+    caps, flavors, _ = draw(census_cases())
+    steps = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 50), st.integers(0, 3),
+                                    st.booleans()), max_size=30))
+    return caps, flavors, steps
+
+
+class TestKeptFitsAndLoads:
+    """``census`` and ``snapshot`` share one fit matrix, the host loads and one
+    stale set, in any order of reads, places and completions."""
+
+    @staticmethod
+    def fresh(state):
+        return HostView(np.arange(state.n), state.available.copy(), state.capacity)
+
+    def check_kept(self, state):
+        """Every host but the stale ones has its kept fits and load equal to a full
+        refit, the load bit for bit."""
+        fresh, current = self.fresh(state), ~np.isin(np.arange(state.n), list(state._stale))
+        if state._counted is not None:
+            assert state._fit.shape == (len(state._counted), state.n)
+            for demand, column in zip(state._counted, state._fit):
+                assert np.array_equal(column[current], fresh.fit_mask(demand)[current])
+        if state._loads is not None:
+            assert np.array_equal(state._loads[current], fresh.loads()[current])
+
+    def check_view(self, state, view, demands):
+        fresh = self.fresh(state)
+        assert np.array_equal(view.available, fresh.available)
+        assert set(view._masks) == set(demands)  # filled up front, from the kept matrix
+        for demand in demands:
+            assert np.array_equal(view.fit_mask(demand), fresh.fit_mask(demand))
+        if state.capacity.all():
+            assert np.array_equal(view.loads(), fresh.loads())
+        else:
+            with pytest.raises(ConfigError):
+                view.loads()
+
+    @given(reader_cases())
+    def test_interleaved_reads_match_full_refits(self, case):
+        caps, flavors, steps = case
+        state = ClusterState(caps)
+        demands = tuple(f.demand for f in flavors)
+        alive: list[int] = []
+        views = []  # (view, the full recount it was built on)
+        for rid, (step, index, which, flag) in enumerate(steps):
+            if step == 0 or step == 1 and not alive:
+                if state.place(Request(rid, flavors[which % len(flavors)]), index % len(caps)):
+                    alive.append(rid)
+            elif step == 1:
+                state.complete(alive.pop(index % len(alive)))
+            elif step == 2:
+                listed = flavors[::-1] if flag else flavors
+                assert state.census(listed).per_flavor == census_brute(state, listed)
+            else:
+                listed = demands[:index % len(demands) + 1] if flag else demands
+                view = HostView.of_state(np.arange(state.n), state, listed)
+                self.check_view(state, view, listed)
+                views.append((view, self.fresh(state)))
+            self.check_kept(state)
+            for view, then in views:  # a view stays the snapshot it was built from
+                assert np.array_equal(view.available, then.available)
+                for demand, mask in view._masks.items():
+                    assert np.array_equal(mask, then.fit_mask(demand))
+                if view._loads is not None:
+                    assert np.array_equal(view._loads, then.loads())
+
+    def test_loads_are_kept_only_after_a_snapshot(self):
+        state = ClusterState([UNIT] * 3)
+        flavors = [flavor(300, 300)]
+        state.place(request(1, 500, 500), 0)
+        state.census(flavors)
+        assert state._loads is None
+        view = HostView.of_state(np.arange(3), state, (flavors[0].demand,))
+        assert view.loads().tolist() == [0.5, 0.0, 0.0]
+        state.place(request(2, 100, 800), 2)
+        state.census(flavors)  # refreshes the loads too, for the next snapshot
+        assert state._loads.tolist() == [0.5, 0.0, 0.8]
+        assert view.loads().tolist() == [0.5, 0.0, 0.0]
+
+
 class TestClusterValidation:
     def test_needs_hosts_and_consistent_dimension(self):
         with pytest.raises(ModelError):
@@ -349,3 +441,7 @@ class TestClusterValidation:
         assert state.utilization() == 0.0
         state.place(request(1, 500, 500), 0)
         assert state.utilization() == 0.25
+        assert not state.place(request(2, 600, 100), 0)
+        state.place(request(3, 1000, 1000), 1)
+        state.complete(1)
+        assert state.utilization() == 0.5

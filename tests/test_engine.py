@@ -431,6 +431,14 @@ class TestStreamBlocks:
             order = sim._streams(slot, None)[0].permutation(40)
             assert order.tolist() == np.random.default_rng((5, 4, slot)).permutation(40).tolist()
 
+    def test_deterministic_kinds_hash_no_agent_keys(self, monkeypatch):
+        hashes = self.spy_hashes(monkeypatch)
+        sim = Simulation(small_nfv(replicas=3, policy="wf", schedulers=10, seed=5))
+        sim.run()
+        assert sim.metrics.slots > 32 and hashes == []
+        order = sim._streams(40, None)[0].permutation(10)  # a later block's resolve keys
+        assert order.tolist() == np.random.default_rng((5, 4, 40)).permutation(10).tolist()
+
 
 class TestDeterministicDecisions:
     """A deterministic kind picks one host per demand from one view, so the

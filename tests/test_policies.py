@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from apsr import (
+    ClusterState,
     ConfigError,
     Flavor,
     HostView,
@@ -22,7 +23,12 @@ from apsr import (
 )
 from apsr.ballsbins import pick_distinct, sigma
 from apsr.core import MAX_UNITS
-from apsr.policies import ADAPTIVE_THRESHOLD, DETERMINISTIC_KINDS, LAMBDA_RANK
+from apsr.policies import (
+    ADAPTIVE_THRESHOLD,
+    DETERMINISTIC_KINDS,
+    FULL_SNAPSHOT_KINDS,
+    LAMBDA_RANK,
+)
 from oracles import reference_choice
 
 
@@ -166,6 +172,65 @@ class TestAgainstPlainLoop:
     @given(snapshot_views(MIXED))
     def test_mixed_capacities_pick_least_key_then_id(self, case):
         self.check(case, ("ff", "wf", "distfromdiag"))
+
+
+@st.composite
+def placed_states(draw):
+    """A ClusterState of power-of-two capacities (half of them fleets of one
+    shape, whose empty hosts tie exactly) after a list of placements, and a
+    demand to choose for."""
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        caps = [draw(st.tuples(POWERS_OF_TWO, POWERS_OF_TWO))] * n
+    else:
+        caps = draw(st.lists(st.tuples(POWERS_OF_TWO, POWERS_OF_TWO), min_size=n, max_size=n))
+    state = ClusterState(caps)
+    for rid, (host, demand) in enumerate(draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.tuples(UNITS, UNITS).filter(any)), max_size=12))):
+        state.place(Request(rid, Flavor("f", demand)), host)
+    return state, draw(st.tuples(UNITS, UNITS).filter(any))
+
+
+class TestStateBuiltView:
+    """``HostView.of_state`` fills a view with copies of what the state keeps; every
+    kind picks on it as on a view built by hand from the same arrays."""
+
+    @staticmethod
+    def views(state, demand):
+        ids = np.arange(state.n)
+        hand = HostView(ids, state.available.copy(), state.capacity)
+        return hand, HostView.of_state(ids, state, (demand,))
+
+    @given(placed_states(), st.integers(0, 3))
+    def test_every_kind_picks_as_on_a_hand_built_view(self, case, seed):
+        state, demand = case
+        hand, kept = self.views(state, demand)
+        for kind in FULL_SNAPSHOT_KINDS:
+            picks = [choose(PolicyConfig(kind), view, req(*demand), np.random.default_rng(seed))
+                     for view in (hand, kept)]
+            assert picks[0] == picks[1], kind
+
+    def test_exact_load_ties_go_to_the_least_id(self):
+        state = ClusterState([(100, 100)] * 5)
+        for rid, (host, demand) in enumerate([(0, (100, 100)), (1, (50, 20)), (2, (20, 50)),
+                                              (3, (50, 20)), (4, (20, 50))]):
+            assert state.place(Request(rid, Flavor("f", demand)), host)
+        hand, kept = self.views(state, (10, 10))
+        assert kept.loads().tolist() == [1.0, 0.5, 0.5, 0.5, 0.5]  # host 0 does not fit
+        for kind in ("wf", "adaptive", "distfromdiag"):
+            assert choose(PolicyConfig(kind), kept, req(10, 10), None) == 1, kind
+            assert choose(PolicyConfig(kind), hand, req(10, 10), None) == 1, kind
+
+    def test_zero_capacity_fleet(self):
+        state = ClusterState([(100, 0), (100, 100)])
+        state.place(req(30, 0), 1)
+        hand, kept = self.views(state, (50, 0))
+        for kind in ("wf", "wfr", "adaptive", "distfromdiag"):
+            with pytest.raises(ConfigError):
+                choose(PolicyConfig(kind), kept, req(50, 0), rng())
+        for kind in ("ff", "random", "ffr"):
+            assert (choose(PolicyConfig(kind), kept, req(50, 0), rng())
+                    == choose(PolicyConfig(kind), hand, req(50, 0), rng()))
 
 
 class TestRandomizedPolicies:
