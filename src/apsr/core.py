@@ -10,6 +10,7 @@ back, so completing every request on a host restores its availability exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from numbers import Integral
@@ -48,6 +49,11 @@ def vector(values: Iterable[int]) -> ResourceVector:
 def fits(demand: Iterable[int], available: Iterable[int]) -> bool:
     """demand <= available coordinate-wise (no dimension check)."""
     return all(d <= a for d, a in zip(demand, available))
+
+
+def capacity_scale(capacity: np.ndarray) -> int:
+    """The lcm of the capacity values, so each used fraction times it is an integer."""
+    return math.lcm(*set(capacity.ravel().tolist()))  # np.unique would import numpy.ma
 
 
 def host_loads(capacity: np.ndarray, available: np.ndarray) -> np.ndarray:
@@ -119,6 +125,7 @@ class ClusterState:
         self.capacity = np.array(caps, dtype=np.int64)
         self.available = self.capacity.copy()
         self._total = int(self.capacity.sum())  # capacity never changes
+        self.scale = capacity_scale(self.capacity)
         self._used = 0  # units placed, summed over all coordinates
         self.placements: dict[int, Placement] = {}
         self.resident_ids: list[int] = []

@@ -379,7 +379,7 @@ class Simulation:
         if self.policy.kind == "apsr":
             view = HostView(self._host_ids, state.available.copy(), state.capacity)
         else:  # the state keeps the snapshot kinds' fit masks and loads current
-            view = HostView.of_state(self._host_ids, state, self._demands)
+            view = HostView.of_state(state, self._demands)
         targets = self.decide(view, slot, enumerate(requests))
         queried = self.controller.d if self.policy.kind == "apsr" else state.n
 

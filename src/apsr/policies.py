@@ -9,18 +9,20 @@ Monte-Carlo game's kernel (``ballsbins.pick_distinct``).  Policies are
 stateless; all randomness flows through the generator passed to ``choose``,
 and the deterministic kinds never touch it.  ffr and wfr pick uniformly among
 their first ``LAMBDA_RANK`` fitting hosts; adaptive acts as wf while the mean
-host load is below ``ADAPTIVE_THRESHOLD`` and as ff from there on.
+host load is below ``ADAPTIVE_THRESHOLD`` and as ff from there on.  On a view
+built by ``HostView.of_state``, where host i is row i, ff, ffr and wf (adaptive
+too) read the first fitting rows in key order instead of sorting ids.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
 
-from .core import MAX_UNITS, ClusterState, ConfigError, Request, ResourceVector, host_loads
+from .core import (MAX_UNITS, ClusterState, ConfigError, Request, ResourceVector, capacity_scale,
+                   host_loads)
 
 FULL_SNAPSHOT_KINDS = ("ff", "wf", "random", "ffr", "wfr", "adaptive", "distfromdiag")
 POLICY_KINDS = FULL_SNAPSHOT_KINDS + ("apsr",)
@@ -51,7 +53,7 @@ class HostView:
     A view is treated as read-only: host loads, the capacity scale and, for
     ``choose``, the fit mask of each demand vector are computed on first use and
     cached, so all decisions of a slot share one view of the slot-start snapshot.
-    ``of_state`` fills loads and masks up front from copies of what a ``ClusterState`` keeps.
+    ``of_state`` fills them up front: copies of what a ``ClusterState`` keeps, and its scale.
     """
 
     ids: np.ndarray
@@ -60,12 +62,16 @@ class HostView:
     _loads: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _scale: int | None = field(default=None, init=False, repr=False, compare=False)
     _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _adaptive: str | None = field(default=None, init=False, repr=False, compare=False)
+    _ids_are_rows: bool = field(default=False, init=False, repr=False, compare=False)
 
     @classmethod
-    def of_state(cls, ids, state: ClusterState, demands: tuple[ResourceVector, ...]) -> HostView:
-        """The state's current snapshot, its loads and the fit masks of ``demands`` filled in."""
-        view = cls(ids, state.available.copy(), state.capacity)
+    def of_state(cls, state: ClusterState, demands: tuple[ResourceVector, ...]) -> HostView:
+        """The state's current snapshot, host i in row i, with its loads, capacity scale
+        and the fit masks of ``demands`` filled in."""
+        view = cls(np.arange(state.n), state.available.copy(), state.capacity)
         view._masks, view._loads = state.snapshot(demands)
+        view._scale, view._ids_are_rows = state.scale, True
         return view
 
     def loads(self) -> np.ndarray:
@@ -79,7 +85,7 @@ class HostView:
     def scale(self) -> int:
         """The lcm of the capacity values, so each used fraction times it is an integer."""
         if self._scale is None:
-            self._scale = math.lcm(*np.unique(self.capacity).tolist())
+            self._scale = capacity_scale(self.capacity)
         return self._scale
 
     def fit_mask(self, demand: tuple[int, ...]) -> np.ndarray:
@@ -113,12 +119,25 @@ def choose(
 
     if view.ids.size == 0:
         raise ConfigError("empty host view")
-    if not mask.any():
+    first = mask.argmax()  # the first fitting row; row 0 when none fits
+    if not mask[first]:
         return None
 
     kind = policy.kind
     if kind == "adaptive":  # view.loads() also rejects zero-capacity coordinates
-        kind = "wf" if float(view.loads().mean()) < ADAPTIVE_THRESHOLD else "ff"
+        if view._adaptive is None:  # one mean-load test per view
+            view._adaptive = "wf" if float(view.loads().mean()) < ADAPTIVE_THRESHOLD else "ff"
+        kind = view._adaptive
+    if view._ids_are_rows and kind in ("ff", "ffr", "wf"):
+        # host i is row i, so the least (key, id) of fitting hosts is the first fitting row by key
+        if kind == "ff":
+            return int(first)
+        if kind == "ffr":
+            candidates = np.flatnonzero(mask)[:LAMBDA_RANK]
+            return int(candidates[rng.integers(candidates.size)])
+        loads = view.loads()
+        row = loads.argmin()  # the first row of the least load
+        return int(row if mask[row] else np.where(mask, loads, np.inf).argmin())
     if kind == "wf":  # unfit hosts get an infinite key; loads are finite
         return _least(np.where(mask, view.loads(), np.inf), view.ids)
     ids = view.ids[mask]

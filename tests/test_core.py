@@ -399,7 +399,7 @@ class TestKeptFitsAndLoads:
                 assert state.census(listed).per_flavor == census_brute(state, listed)
             else:
                 listed = demands[:index % len(demands) + 1] if flag else demands
-                view = HostView.of_state(np.arange(state.n), state, listed)
+                view = HostView.of_state(state, listed)
                 self.check_view(state, view, listed)
                 views.append((view, self.fresh(state)))
             self.check_kept(state)
@@ -416,7 +416,7 @@ class TestKeptFitsAndLoads:
         state.place(request(1, 500, 500), 0)
         state.census(flavors)
         assert state._loads is None
-        view = HostView.of_state(np.arange(3), state, (flavors[0].demand,))
+        view = HostView.of_state(state, (flavors[0].demand,))
         assert view.loads().tolist() == [0.5, 0.0, 0.0]
         state.place(request(2, 100, 800), 2)
         state.census(flavors)  # refreshes the loads too, for the next snapshot

@@ -6,7 +6,7 @@ so a unit host is (100, 100).
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -22,7 +22,7 @@ from apsr import (
     make_config,
 )
 from apsr.ballsbins import pick_distinct, sigma
-from apsr.core import MAX_UNITS
+from apsr.core import MAX_UNITS, fits
 from apsr.policies import (
     ADAPTIVE_THRESHOLD,
     DETERMINISTIC_KINDS,
@@ -174,21 +174,26 @@ class TestAgainstPlainLoop:
         self.check(case, ("ff", "wf", "distfromdiag"))
 
 
+def placed(caps, placements):
+    """A ClusterState of host shapes ``caps`` after placing each (host, demand)."""
+    state = ClusterState(caps)
+    for rid, (host, demand) in enumerate(placements):
+        state.place(Request(rid, Flavor("f", demand)), host)
+    return state
+
+
 @st.composite
-def placed_states(draw):
-    """A ClusterState of power-of-two capacities (half of them fleets of one
-    shape, whose empty hosts tie exactly) after a list of placements, and a
-    demand to choose for."""
+def placed_states(draw, capacities=POWERS_OF_TWO):
+    """A ClusterState of ``capacities`` (half of them fleets of one shape, whose
+    empty hosts tie exactly) after a list of placements, and a demand to choose for."""
     n = draw(st.integers(1, 7))
     if draw(st.booleans()):
-        caps = [draw(st.tuples(POWERS_OF_TWO, POWERS_OF_TWO))] * n
+        caps = [draw(st.tuples(capacities, capacities))] * n
     else:
-        caps = draw(st.lists(st.tuples(POWERS_OF_TWO, POWERS_OF_TWO), min_size=n, max_size=n))
-    state = ClusterState(caps)
-    for rid, (host, demand) in enumerate(draw(st.lists(
-            st.tuples(st.integers(0, n - 1), st.tuples(UNITS, UNITS).filter(any)), max_size=12))):
-        state.place(Request(rid, Flavor("f", demand)), host)
-    return state, draw(st.tuples(UNITS, UNITS).filter(any))
+        caps = draw(st.lists(st.tuples(capacities, capacities), min_size=n, max_size=n))
+    placements = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.tuples(UNITS, UNITS).filter(any)), max_size=12))
+    return placed(caps, placements), draw(st.tuples(UNITS, UNITS).filter(any))
 
 
 class TestStateBuiltView:
@@ -197,9 +202,8 @@ class TestStateBuiltView:
 
     @staticmethod
     def views(state, demand):
-        ids = np.arange(state.n)
-        hand = HostView(ids, state.available.copy(), state.capacity)
-        return hand, HostView.of_state(ids, state, (demand,))
+        hand = HostView(np.arange(state.n), state.available.copy(), state.capacity)
+        return hand, HostView.of_state(state, (demand,))
 
     @given(placed_states(), st.integers(0, 3))
     def test_every_kind_picks_as_on_a_hand_built_view(self, case, seed):
@@ -231,6 +235,60 @@ class TestStateBuiltView:
         for kind in ("ff", "random", "ffr"):
             assert (choose(PolicyConfig(kind), kept, req(50, 0), rng())
                     == choose(PolicyConfig(kind), hand, req(50, 0), rng()))
+
+
+class FixedDraw:
+    """A generator stand-in: ``integers(size)`` records size and returns ``index``."""
+
+    def __init__(self, index):
+        self.index, self.sizes = index, []
+
+    def integers(self, size):
+        self.sizes.append(size)
+        return self.index
+
+
+class TestFirstFittingRow:
+    """On a state-built view, where host i is row i, ff, ffr, wf and adaptive read
+    the first fitting rows in key order.  They pick as a plain loop does, also
+    when the least-loaded host is too small for the demand or no host fits."""
+
+    @staticmethod
+    def check(case, kinds):
+        state, demand = case
+        view = HostView.of_state(state, (demand,))
+        available, capacity = state.available.tolist(), state.capacity.tolist()
+        for kind in kinds:
+            expected = reference_choice(kind, range(state.n), available, capacity, demand)
+            assert choose(PolicyConfig(kind), view, req(*demand), None) == expected, kind
+        fitting = [h for h in range(state.n) if fits(demand, available[h])][:LAMBDA_RANK]
+        if not fitting:
+            assert choose(PolicyConfig("ffr"), view, req(*demand), FixedDraw(0)) is None
+        for index, host in enumerate(fitting):  # ffr's candidates, in order
+            draw = FixedDraw(index)
+            assert choose(PolicyConfig("ffr"), view, req(*demand), draw) == host
+            assert draw.sizes == [len(fitting)]
+
+    @given(placed_states())
+    @example((placed([(16, 16)] * 7, []), (4, 4)))  # exact ties at load 0
+    @example((placed([(8, 8)] * 3 + [(32, 32)] * 4, []), (16, 16)))  # tied rows too small
+    @example((placed([(8, 8), (16, 16), (16, 16)], [(1, (4, 4)), (2, (2, 2))]),
+              (10, 10)))  # the least-loaded host 0 is too small; 2 is loaded less than 1
+    @example((placed([(8, 8)] * 3, [(0, (1, 1))]), (9, 1)))  # no host fits
+    def test_deterministic_kinds_and_ffr_candidates(self, case):
+        self.check(case, DETERMINISTIC_KINDS)
+
+    @given(placed_states(MIXED))
+    def test_mixed_capacities(self, case):
+        self.check(case, ("ff", "wf", "distfromdiag"))
+
+    def test_wf_skips_a_least_loaded_host_too_small_for_the_demand(self):
+        state = placed([(10, 10), (100, 100), (100, 100)], [(1, (60, 60)), (2, (30, 30))])
+        view = HostView.of_state(state, ((20, 20),))
+        assert view.loads().tolist() == [0.0, 0.6, 0.3]
+        assert view.fit_mask((20, 20)).tolist() == [False, True, True]
+        for kind in ("wf", "adaptive"):
+            assert choose(PolicyConfig(kind), view, req(20, 20), None) == 2, kind
 
 
 class TestRandomizedPolicies:

@@ -13,7 +13,8 @@ keeps the command's stdout next to the files it writes:
   estimator; nfv-mmpp cut at max_slots = 300, before its trace has arrived;
   nfv with budget 40%, T=3 and alpha=0.3; nfv with a fixed fleet
   of s=10 under each of the seven snapshot policies; amazon (two host shapes)
-  with s=10 under distfromdiag; and google (5,989 hosts) with s=10 under wf;
+  with s=10 under distfromdiag; and google (5,989 hosts) with s=10 under wf,
+  ff, ffr and adaptive, which read the first fitting rows of a state-built view;
 - `apsr simulate --seeds 4294967301,18446744073709551623` (2^32 + 5 and
   2^64 + 7, seeds of two and three 32-bit words) for nfv and for nfv with a
   fixed fleet of s=10 under random;
@@ -61,7 +62,10 @@ CONFIGS = {
         for kind in ("ff", "wf", "random", "ffr", "wfr", "adaptive", "distfromdiag")
     },
     "amazon-distfromdiag-s10": "preset = amazon\npolicy = distfromdiag\ns = 10\n",
-    "google-wf-s10": "preset = google\npolicy = wf\ns = 10\n",
+    **{
+        f"google-{kind}-s10": f"preset = google\npolicy = {kind}\ns = 10\n"
+        for kind in ("wf", "ff", "ffr", "adaptive")
+    },
 }
 COMMANDS = {
     "analyze": ["analyze", "-n", "837", "-B", "837", "--k-grid", "0:837"],
