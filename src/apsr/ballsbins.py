@@ -139,22 +139,28 @@ def pick_distinct(draws: np.ndarray, sentinel: int, rank) -> np.ndarray:
     bins (hosts) it saw; the game and the engine both pick through here.
     """
     draws.sort(axis=-1)
-    first = draws < sentinel
-    first[..., 1:] &= draws[..., 1:] != draws[..., :-1]
-    shape, d = first.shape[:-1], first.shape[-1]
+    shape, d = draws.shape[:-1], draws.shape[-1]
+    flat = draws.reshape(-1)
+    first = flat < sentinel
+    first[1:] &= flat[1:] != flat[:-1]  # a row's first column is compared with the row above,
+    first.reshape(draws.shape)[..., :1] = draws[..., :1] < sentinel  # so it is redone
     # flat indices of each row's distinct available values in ascending order,
     # row after row; a row's run starts after those of earlier rows
     hits = np.flatnonzero(first)
-    counts = np.bincount(hits // max(d, 1), minlength=math.prod(shape))  # d = 0 hits nothing
+    values = flat.take(hits)
+    hits //= max(d, 1)  # each hit's row; d = 0 hits nothing
+    counts = np.bincount(hits, minlength=math.prod(shape))
     position = np.cumsum(counts) - counts + np.asarray(rank(counts.reshape(shape))).ravel()
-    seen = counts > 0
-    picks = np.full(counts.shape, sentinel, dtype=draws.dtype)
-    picks[seen] = draws.ravel()[hits[position[seen]]]
+    # a row with nothing available reads a clipped position, then takes the sentinel
+    picks = values.take(position, mode="clip") if values.size else counts.astype(draws.dtype)
+    picks[counts == 0] = sentinel
     return picks.reshape(shape)
 
 
 #: Trials the Monte-Carlo game draws at once; the draws depend on it.
 CHUNK = 16384
+#: Draws the game picks at once, which bounds the temporaries; no output depends on it.
+_BLOCK_DRAWS = 2**18
 
 
 def simulate_balls_and_bins(params: BallsBinsParams, trials: int, seed) -> SimulationResult:
@@ -173,6 +179,7 @@ def simulate_balls_and_bins(params: BallsBinsParams, trials: int, seed) -> Simul
 
     rng = np.random.default_rng(seed)
     dtype = np.int32 if n < 2**31 else np.int64  # the int64 draw's values; k <= n fits too
+    block = max(1, _BLOCK_DRAWS // (s * d))  # trials per pick_distinct call
     ph_total = 0
     happy_total = 0
     happy_sq_total = 0
@@ -180,9 +187,10 @@ def simulate_balls_and_bins(params: BallsBinsParams, trials: int, seed) -> Simul
     while done < trials:
         m = min(CHUNK, trials - done)
         vals = rng.integers(0, n, size=(m, s, d), dtype=dtype)
-        selected = pick_distinct(
-            vals, k, lambda distinct: (rng.random(distinct.shape) * distinct).astype(np.int64)
-        )
+        selected = np.empty((m, s), dtype)
+        for lo in range(0, m, block):  # blocks in trial order draw the chunk's uniforms in order
+            selected[lo:lo + block] = pick_distinct(
+                vals[lo:lo + block], k, lambda c: (rng.random(c.shape) * c).astype(np.int64))
         del vals
         # a trial's winners are the distinct available bins its agents selected
         selected.sort(axis=1)

@@ -1,6 +1,7 @@
 """Sampling-game statistics: closed forms against enumeration and Monte Carlo."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+import apsr.ballsbins
 from apsr import (
     ApsrController,
     BallsBinsParams,
@@ -173,13 +175,30 @@ class TestSimulation:
         assert result.selection_counts.sum() == result.potentially_happy_total
 
     @pytest.mark.parametrize("n, k, s, d", [(12, 5, 4, 3), (6, 6, 3, 2), (20, 1, 5, 4), (9, 4, 1, 1)])
-    def test_totals_match_plain_replay_of_the_draws(self, n, k, s, d):
+    def test_totals_match_plain_replay_of_the_draws(self, n, k, s, d, monkeypatch):
+        """At every pick block size: the default, one trial, seven and more than a chunk."""
         trials = CHUNK + 700  # a full chunk, then a short last one
-        result = simulate_balls_and_bins(BallsBinsParams(n, k, s, d), trials, (n, k))
-        ph, happy, happy_sq, counts = replay_balls_and_bins(n, k, s, d, trials, (n, k), CHUNK)
-        assert (result.potentially_happy_total, result.happy_total, result.happy_sq_total) == (
-            ph, happy, happy_sq)
-        assert result.selection_counts.tolist() == counts
+        replayed = replay_balls_and_bins(n, k, s, d, trials, (n, k), CHUNK)
+        for block in (None, 1, 7, CHUNK + 1):  # None: the default
+            if block is not None:
+                monkeypatch.setattr(apsr.ballsbins, "_BLOCK_DRAWS", block * s * d)
+            result = simulate_balls_and_bins(BallsBinsParams(n, k, s, d), trials, (n, k))
+            assert result.trials == trials
+            assert (result.potentially_happy_total, result.happy_total, result.happy_sq_total,
+                    result.selection_counts.tolist()) == replayed, block
+
+    def test_one_chunk_of_draws_bounds_the_working_set(self):
+        """The game's traced peak stays near one chunk's int32 draws: each pick
+        block's temporaries are a small part of it."""
+        params = BallsBinsParams(837, 350, 28, 8)  # fleet-analysis' k = 350 game
+        simulate_balls_and_bins(params, 10, 0)  # lazy set-up out of the trace
+        tracemalloc.start()
+        try:
+            simulate_balls_and_bins(params, CHUNK, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * CHUNK * params.s * params.d * np.dtype(np.int32).itemsize
 
     @pytest.mark.parametrize("n", [1, 2, 837, 5989, 2**31])
     def test_int32_draws_are_the_int64_draws(self, n):
