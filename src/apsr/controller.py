@@ -5,8 +5,9 @@ sampling decisions into a window of per-flavor counts (hosts queried / found
 available).  On a tick the availability estimate k is refreshed, either from
 the window ("min" or "avg" estimator, exponentially smoothed) or from an exact
 census of the cluster ("oracle", which queries every host and records no
-window), and the scheduler fleet is reconfigured to the largest (s, d) that
-satisfies the decline-ratio target within the query budget.
+window; k is the least count among the flavors that still fit some host), and
+the scheduler fleet is reconfigured to the largest (s, d) that satisfies the
+decline-ratio target within the query budget.
 """
 
 from __future__ import annotations
@@ -81,9 +82,10 @@ class ApsrController:
     def tick(self, state: ClusterState, flavors: Iterable[Flavor]) -> int:
         """Refresh k, reconfigure the fleet and reset the window; returns the
         hosts queried.  The oracle takes k from a census of ``state`` over
-        ``flavors`` and queries its n hosts.  The min (avg) estimate smooths n
-        times the least (mean) per-flavor found/queried ratio of the window and
-        queries none; an empty window leaves k unchanged."""
+        ``flavors`` (the least count among flavors that fit some host) and
+        queries its n hosts.  The min (avg) estimate smooths n times the least
+        (mean) per-flavor found/queried ratio of the window and queries none;
+        an empty window leaves k unchanged."""
         queries = 0
         if self.estimator == "oracle":
             self.k_estimate = float(state.census(flavors).min_available)

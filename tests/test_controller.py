@@ -109,11 +109,25 @@ class TestOracle:
         controller.tick(cluster_with_free(n, n), FLAVORS)
         assert (controller.s, controller.d) == scan_max_paral(n, 0.05, n, n)
 
-    def test_zero_availability_single_scheduler(self):
+    @pytest.mark.parametrize("flavors", [FLAVORS, [*FLAVORS, Flavor("huge", (11, 11))]])
+    def test_zero_availability_single_scheduler(self, flavors):
         controller = ApsrController(50, 0.05, 50, estimator="oracle")
-        controller.tick(cluster_with_free(50, 0), FLAVORS)
+        controller.tick(cluster_with_free(50, 0), flavors)
         assert (controller.s, controller.d) == (1, 50)
         assert controller.k_estimate == 0.0
+
+    def test_flavor_that_fits_no_host_leaves_the_fleet_to_the_others(self):
+        """Requests of a flavor that no host fits are declined whatever the
+        fleet, so k is the least count among the flavors that still fit."""
+        n = 100
+        flavors = [*FLAVORS, Flavor("small", (1, 1)), Flavor("huge", (11, 11))]
+        state = cluster_with_free(n, 30)
+        assert state.census(flavors).per_flavor == {"a": 30, "small": 100, "huge": 0}
+        controller = ApsrController(n, 0.05, n, estimator="oracle")
+        assert controller.tick(state, flavors) == n
+        assert controller.k_estimate == 30.0
+        assert (controller.s, controller.d) == max_paral(n, 0.05, n, 30)
+        assert controller.s > 1
 
 
 class TestControllerTick:

@@ -255,8 +255,8 @@ class TestCensus:
         state = ClusterState([UNIT] * 4)
         for host in range(4):
             assert state.place(request(host, 1000, 1000), host)
-        census = state.census([flavor(1, 10)])
-        assert census.min_available == 0
+        assert state.census([flavor(1, 10)]).min_available == 0
+        assert state.census([flavor(1, 10), flavor(10, 1)]).min_available == 0
 
     def test_mixed_state_matches_brute_force(self):
         rng = np.random.default_rng(11)
@@ -331,6 +331,15 @@ class TestCensus:
         restored = state.census(flavors).per_flavor
         assert all(restored[f] >= after[f] for f in restored)
         assert restored == before
+
+    def test_min_available_skips_flavors_that_fit_no_host(self):
+        """A flavor no host fits is declined whatever the fleet, so it does not
+        pin the cluster-wide availability to 0."""
+        state = ClusterState([UNIT] * 3 + [(300, 300)])
+        census = state.census([flavor(1200, 100), flavor(500, 500)])
+        assert census.per_flavor == {"1200x100": 0, "500x500": 3}
+        assert census.min_available == 3
+        assert AvailabilityCensus({"a": 7, "b": 0, "c": 2}).min_available == 2
 
     def test_min_available_requires_flavors(self):
         with pytest.raises(ModelError):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import apsr.engine
 from apsr import (
+    ApsrController,
     ConfigError,
     ExperimentConfig,
     HostView,
@@ -17,6 +18,7 @@ from apsr import (
     arrivals,
     choose,
     make_config,
+    max_paral,
     run_experiment,
 )
 from apsr.engine import _agent_draws, _pcg64_streams, _seed_states
@@ -180,6 +182,28 @@ class TestSlotMechanics:
             sim.run_slot()
         assert sim.metrics.attempts > 0
         assert (sim.controller.queried, sim.controller.found) == ({}, {})
+
+    def test_oracle_fleet_follows_the_placeable_flavors(self, monkeypatch):
+        """On nfv the two 0.54-memory flavors fit no host once the cluster
+        fills; every tick's fleet is still sized at the least positive count."""
+        ticks = []
+        tick = ApsrController.tick
+
+        def recorded(controller, state, flavors):
+            per_flavor = state.census(flavors).per_flavor
+            queries = tick(controller, state, flavors)
+            ticks.append((per_flavor, controller.s, controller.d))
+            return queries
+
+        monkeypatch.setattr(ApsrController, "tick", recorded)
+        sim = Simulation(make_config("nfv", estimator="oracle", period=1, seed=0))
+        sim.run()
+        n, delta_hat, budget = sim.state.n, sim.config.delta_hat, sim.budget
+        assert len(ticks) == sim.metrics.slots
+        for per_flavor, s, d in ticks:
+            k = min((count for count in per_flavor.values() if count > 0), default=0)
+            assert (s, d) == max_paral(n, delta_hat, budget, k)
+        assert any(0 in per_flavor.values() and s > 1 for per_flavor, s, _ in ticks)
 
     def test_truncation_flag(self):
         metrics = run_experiment(small_nfv(policy="ff", schedulers=1, max_slots=5))

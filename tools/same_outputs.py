@@ -8,13 +8,14 @@ OLD_SRC and NEW_SRC are directories holding the `apsr` package (a checkout's
 keeps the command's stdout next to the files it writes:
 
 - `apsr simulate --seeds 0,1,2` for the presets nfv, google, amazon and
-  nfv-mmpp; nfv, nfv-mmpp (departures under the census) and amazon (two host
-  shapes, 15 flavors) with the oracle estimator at T=1; nfv-mmpp with the avg
-  estimator; nfv-mmpp cut at max_slots = 300, before its trace has arrived;
-  nfv with budget 40%, T=3 and alpha=0.3; nfv with a fixed fleet
-  of s=10 under each of the seven snapshot policies; amazon (two host shapes)
-  with s=10 under distfromdiag; and google (5,989 hosts) with s=10 under wf,
-  ff, ffr and adaptive, which read the first fitting rows of a state-built view;
+  nfv-mmpp; nfv, nfv-mmpp (departures under the census), amazon (two host
+  shapes, 15 flavors) and google (5,989 hosts) with the oracle estimator at
+  T=1; nfv-mmpp with the avg estimator; nfv-mmpp cut at max_slots = 300,
+  before its trace has arrived; nfv with budget 40%, T=3 and alpha=0.3; nfv
+  with a fixed fleet of s=10 under each of the seven snapshot policies; amazon
+  (two host shapes) with s=10 under distfromdiag; and google with s=10 under
+  wf, ff, ffr and adaptive, which read the first fitting rows of a state-built
+  view;
 - `apsr simulate --seeds 4294967301,18446744073709551623` (2^32 + 5 and
   2^64 + 7, seeds of two and three 32-bit words) for nfv and for nfv with a
   fixed fleet of s=10 under random;
@@ -54,6 +55,8 @@ CONFIGS = {
     "nfv-mmpp-oracle": "preset = nfv-mmpp\nestimator = oracle\nT = 1\n",
     # two host shapes and 15 flavors under the census
     "amazon-oracle-t1": "preset = amazon\nestimator = oracle\nT = 1\n",
+    # the census over 5,989 hosts
+    "google-oracle-t1": "preset = google\nestimator = oracle\nT = 1\n",
     "nfv-mmpp-avg": "preset = nfv-mmpp\nestimator = avg\n",
     # cut before the trace has arrived, so the run loop alone ends the arrivals
     "nfv-mmpp-300": "preset = nfv-mmpp\nmax_slots = 300\n",
