@@ -146,11 +146,11 @@ def pick_distinct(draws: np.ndarray, sentinel: int, rank) -> np.ndarray:
     first.reshape(draws.shape)[..., :1] = draws[..., :1] < sentinel  # so it is redone
     # flat indices of each row's distinct available values in ascending order,
     # row after row; a row's run starts after those of earlier rows
-    hits = np.flatnonzero(first)
+    hits = first.nonzero()[0]
     values = flat.take(hits)
     hits //= max(d, 1)  # each hit's row; d = 0 hits nothing
     counts = np.bincount(hits, minlength=math.prod(shape))
-    position = np.cumsum(counts) - counts + np.asarray(rank(counts.reshape(shape))).ravel()
+    position = counts.cumsum() - counts + np.asarray(rank(counts.reshape(shape)), np.int64).ravel()
     # a row with nothing available reads a clipped position, then takes the sentinel
     picks = values.take(position, mode="clip") if values.size else counts.astype(draws.dtype)
     picks[counts == 0] = sentinel

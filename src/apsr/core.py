@@ -115,6 +115,7 @@ class ClusterState:
     in swap-remove order: a placement appends its id, and a completion moves
     the last id into the freed position.  Departure draws index this order.
     """
+    available = property(lambda self: self._available)  # read-only: ``_cells`` aliases it
 
     def __init__(self, capacities: Iterable[Iterable[int]]):
         caps = [vector(c) for c in capacities]
@@ -125,7 +126,8 @@ class ClusterState:
         if sum(map(sum, caps)) > MAX_UNITS:
             raise ModelError("total capacity does not fit in int64")
         self.capacity = np.array(caps, dtype=np.int64)
-        self.available = self.capacity.copy()
+        self._available = self.capacity.copy()
+        self._cells = memoryview(self._available).cast("B").cast("q")  # row h from h·dim on
         self._total = int(self.capacity.sum())  # capacity never changes
         self.scale = capacity_scale(self.capacity)
         self._used = 0  # units placed, summed over all coordinates
@@ -158,9 +160,12 @@ class ClusterState:
             raise ModelError(
                 f"demand dimension {len(demand)} does not match cluster dimension {self.dim}"
             )
-        if not fits(demand, self.available[host_id]):
-            return False
-        self.available[host_id] -= demand
+        cells, first = self._cells, host_id * self.dim  # Python ints beat a numpy row op
+        for cell, d in enumerate(demand, first):
+            if d > cells[cell]:
+                return False
+        for cell, d in enumerate(demand, first):
+            cells[cell] -= d
         self._used += sum(demand)
         self._stale.add(host_id)
         self.placements[request.id] = Placement(host_id, demand, len(self.resident_ids))
@@ -172,7 +177,8 @@ class ClusterState:
         placement = self.placements.pop(request_id, None)
         if placement is None:
             raise ModelError(f"request {request_id} is not placed")
-        self.available[placement.host_id] += placement.demand
+        for cell, d in enumerate(placement.demand, placement.host_id * self.dim):
+            self._cells[cell] += d
         self._used -= sum(placement.demand)
         self._stale.add(placement.host_id)
         last = self.resident_ids.pop()

@@ -12,11 +12,11 @@ no decision depends on the order they are evaluated in.  Sampling agents bound
 their streams' raw words as numpy's ``integers`` does (Lemire's multiply-shift
 step) and test fits only at the hosts they sampled.  Assignments then resolve
 against the live state in the random order of SeedSequence((seed, 4, slot)); one
-fails if its host can no longer take its request.  Streams are hashed 32 slots at
-a time and set on reused generators.  Declined requests are not re-queued: each
-request gets a single placement attempt, in trace order, so the pending queue is
-the slice of the trace that has arrived but not been attempted.  Departures draw
-positions in the cluster state's swap-remove order of residents.
+fails if its host can no longer take its request.  Stream keys are hashed a block
+of slots at a time.  Declined requests are not re-queued: each request gets a
+single placement attempt, in trace order, so the pending queue is the slice of
+the trace that has arrived but not been attempted.  Departures draw positions in
+the cluster state's swap-remove order of residents.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .workload import (
 
 # seed sub-stream tags
 _TRACE, _ARRIVALS, _DEPARTURES, _SCHEDULER, _RESOLVE = range(5)
+_KEY_BLOCK = 128  # slots whose stream keys are hashed at once
 #: ExperimentConfig fields only the controller reads; set away from its default
 #: under any policy but "apsr", a field would only be echoed
 _CONTROLLER_SETTINGS = ("delta_hat", "budget", "period", "alpha", "estimator")
@@ -67,16 +68,20 @@ def _seed_states(key: list) -> np.ndarray:
     return np.stack(state, axis=-1, dtype="<u4").view("<u8")  # little-endian pairs, as numpy
 
 
-def _pcg64_streams(generators: list, seed_states: np.ndarray) -> list[np.random.Generator]:
-    """``generators``, grown as needed, each put in the state PCG64 seeds from a row of
-    ``_seed_states``: inc = 2·seq + 1, an LCG step from 0, plus the state, another step."""
-    generators += [np.random.default_rng(0) for _ in seed_states[len(generators):]]
-    for generator, (state_hi, state_lo, seq_hi, seq_lo) in zip(generators, seed_states.tolist()):
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & (1 << 128) - 1
-        state = ((state_hi << 64 | state_lo) + inc) * 0x2360ED051FC65DA44385DF649FCCF645 + inc
-        generator.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                         "state": {"state": state & (1 << 128) - 1, "inc": inc}}
-    return generators[:len(seed_states)]
+class _Words:
+    """A C-contiguous uint64[4] row of ``_seed_states``, whose buffer PCG64 reads as its seed."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=None):
+        return self.words
+
+
+def _pcg64_streams(seed_states: np.ndarray) -> list[np.random.Generator]:
+    """A fresh generator per row of ``_seed_states``, each drawing as ``default_rng(key)``."""
+    np.random.bit_generator.ISeedSequence.register(_Words)  # acts once; numpy.random loads lazily
+    return [np.random.Generator(np.random.PCG64(_Words(row))) for row in seed_states]
 
 
 def _lemire(half, bound: int):
@@ -303,22 +308,22 @@ class Simulation:
         self._host_ids = np.arange(self.state.n)
         self._demands = tuple(f.demand for f in self.dataset.flavors)
         self._rng_departures = np.random.default_rng((config.seed, _DEPARTURES))
-        self._keys, self._rngs = {}, []  # slot -> (agents', resolve seed states); generators
+        self._keys = {}  # slot -> (agents', resolve seed states)
         self._width = 0  # agent keys hashed per slot: the most agents any slot has needed
 
     def _streams(self, slot: int, indices: list[int] | None) -> list[np.random.Generator]:
-        """Reused generators drawing as ``default_rng((seed, _SCHEDULER, slot, i))`` per i, or
-        (seed, _RESOLVE, slot) for None; hashed 32 slots at once, as wide as the widest slot yet."""
+        """Generators drawing as ``default_rng((seed, _SCHEDULER, slot, i))`` per i, or
+        (seed, _RESOLVE, slot) for None; keys hashed in blocks as wide as the widest slot yet."""
         width = 0 if indices is None else max(indices) + 1
         if slot not in self._keys or width > len(self._keys[slot][0]):
-            seed, slots = self.config.seed, np.arange(slot, slot + 32)  # past 2^32 - 1: unread
+            seed, slots = self.config.seed, np.arange(slot, slot + _KEY_BLOCK)  # >= 2^32: unread
             self._width = max(self._width, width)
             agents = (_seed_states([seed, _SCHEDULER, slots[:, None], np.arange(self._width)])
                       if self._width else np.empty((slots.size, 0, 4), np.uint64))
             resolves = _seed_states([seed, _RESOLVE, slots])
             self._keys = dict(zip(slots.tolist(), zip(agents, resolves)))
         agents, resolve = self._keys[slot]
-        return _pcg64_streams(self._rngs, resolve[None] if indices is None else agents[indices])
+        return _pcg64_streams(resolve[None] if indices is None else agents[indices])
 
     def _process_departures(self) -> None:
         resident = self.state.resident_ids

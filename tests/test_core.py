@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from apsr import (AvailabilityCensus, ClusterState, ConfigError, Flavor, HostView, ModelError,
                   Request, vector)
-from apsr.core import fits
+from apsr.core import MAX_UNITS, fits
 from oracles import ReplayBook, census_brute
 
 UNIT = (1000, 1000)
@@ -174,11 +174,21 @@ class TestConservation:
 
 @st.composite
 def operation_sequences(draw):
-    """Host capacities plus a list of (place?, index, demand) operations."""
+    """Host capacities plus a list of (place?, index, demand) operations.  Half the
+    cases lift up to two capacity coordinates near 2^62 and draw demands there too,
+    so updates run at int64 range while the fleet total stays within MAX_UNITS."""
     dim = draw(st.integers(1, 3))
     coordinate = st.integers(0, 12)
     caps = draw(st.lists(st.tuples(*[coordinate] * dim), min_size=1, max_size=4))
-    demand = st.tuples(*[st.integers(0, 8)] * dim).filter(any)
+    amount = st.integers(0, 8)
+    if draw(st.booleans()):
+        big = st.integers(2**62 - 2**8, 2**62 - 2**7)  # two, plus 12 coordinates <= 12: int64
+        for _ in range(draw(st.integers(1, 2))):
+            host, r = draw(st.integers(0, len(caps) - 1)), draw(st.integers(0, dim - 1))
+            caps[host] = caps[host][:r] + (draw(big),) + caps[host][r + 1:]
+        amount |= st.integers(2**61 - 8, 2**61 + 8) | st.integers(2**62 - 2**8, 2**62)
+    assert sum(map(sum, caps)) <= MAX_UNITS
+    demand = st.tuples(*[amount] * dim).filter(any)
     ops = draw(st.lists(st.tuples(st.booleans(), st.integers(0, 50), demand), max_size=40))
     return caps, ops
 
@@ -216,6 +226,19 @@ class TestClusterProperties:
             assert sorted(state.resident_ids) == sorted(book.resident)
             for i, rid in enumerate(state.resident_ids):
                 assert state.placements[rid].index == i
+
+    def test_available_is_never_rebound_and_row_writes_reach_place(self):
+        """``place`` and ``complete`` update the rows through a view of the array that
+        ``available`` returns, so it cannot be rebound, and numpy writes to it count."""
+        state = ClusterState([UNIT, UNIT])
+        with pytest.raises(AttributeError):
+            state.available = np.zeros((2, 2), np.int64)
+        state.available[1] -= (600, 0)  # an in-place numpy write: host 1 keeps (400, 1000)
+        assert not state.place(request(0, 500, 100), 1)
+        assert state.place(request(1, 400, 100), 1)
+        assert state.available.tolist() == [[1000, 1000], [0, 900]]
+        state.complete(1)
+        assert state.available.tolist() == [[1000, 1000], [400, 1000]]
 
     def test_complete_swaps_the_last_resident_into_the_freed_position(self):
         state = ClusterState([UNIT])

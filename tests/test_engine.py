@@ -21,7 +21,7 @@ from apsr import (
     max_paral,
     run_experiment,
 )
-from apsr.engine import _agent_draws, _pcg64_streams, _seed_states
+from apsr.engine import _KEY_BLOCK, _agent_draws, _pcg64_streams, _seed_states
 from apsr.workload import MAX_RATE
 from oracles import replay_sampling_decisions
 
@@ -342,8 +342,9 @@ class TestSamplingDecisions:
 
 
 class TestStreamBlocks:
-    """Stream keys are hashed for a block of slots at once and set on reused
-    generators; every stream still draws exactly as a fresh ``default_rng(key)``."""
+    """Stream keys are hashed for a block of slots at once, and numpy seeds a fresh
+    generator from each key's hashed words; every stream draws exactly as
+    ``default_rng(key)``."""
 
     @staticmethod
     def assert_agent_draws(rng, key, n: int, d: int, c: int) -> bool:
@@ -375,14 +376,19 @@ class TestStreamBlocks:
         key = (seed, tag, slot) if index is None else (seed, tag, slot, index)
         states = _seed_states(list(key))
         assert states.tolist() == [np.random.SeedSequence(key).generate_state(4, np.uint64).tolist()]
-        used = np.random.default_rng(1)
-        used.integers(0, 9, 3, dtype=np.uint32)  # leaves a buffered 32-bit half behind
-        (ours,) = _pcg64_streams([used], states)
-        fresh = np.random.default_rng(key)
-        assert ours.integers(0, n, d).tolist() == fresh.integers(0, n, d).tolist()
-        assert ours.integers(c) == fresh.integers(c)
-        assert ours.permutation(m).tolist() == fresh.permutation(m).tolist()
-        self.assert_agent_draws(_pcg64_streams([used], states)[0], key, n, d, c)
+        # the key second in a block of two, read as the engine reads it: a resolve key's
+        # row with a new axis, an agent key's row fancy-indexed out of its slot's rows
+        slots = np.array([slot ^ 1, slot])
+        block = (_seed_states([seed, tag, slots]) if index is None else _seed_states(
+            [seed, tag, slots[:, None], np.array([index ^ 1, index])]))[1]
+        rows = block[None] if index is None else block[[1]]
+        assert rows.tolist() == states.tolist()
+        for ours in (_pcg64_streams(states)[0], _pcg64_streams(rows)[0]):
+            fresh = np.random.default_rng(key)
+            assert ours.integers(0, n, d).tolist() == fresh.integers(0, n, d).tolist()
+            assert ours.integers(c) == fresh.integers(c)
+            assert ours.permutation(m).tolist() == fresh.permutation(m).tolist()
+        self.assert_agent_draws(_pcg64_streams(rows)[0], key, n, d, c)
 
     @pytest.mark.parametrize("n, d, c", [
         (2**31 + 1, 27, 1), (837, 27, 2**31 + 1), (1, 5, 2**31 + 1), (2**32, 1, 1)])
@@ -423,16 +429,18 @@ class TestStreamBlocks:
 
     @staticmethod
     def assert_blocks_cross_and_regrow(hashes):
-        assert any(first >= 32 for first, _ in hashes)  # past the first 32-slot block
+        steps = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(hashes, hashes[1:])]
+        assert (_KEY_BLOCK, 0) in steps  # a block ran out: the next starts at its end
         # a slot wider than its block re-hashed before the block ran out
-        assert any(b[0] - a[0] < 32 and b[1] > a[1] for a, b in zip(hashes, hashes[1:]))
-        # and every block is hashed as wide as the widest slot before it
-        assert all(b[1] >= a[1] for a, b in zip(hashes, hashes[1:]))
+        assert any(step < _KEY_BLOCK and wider > 0 for step, wider in steps)
+        # and no other hash: a block is _KEY_BLOCK slots, as wide as the widest slot before it
+        assert all(step == _KEY_BLOCK and wider >= 0 or 0 < step < _KEY_BLOCK and wider > 0
+                   for step, wider in steps)
 
     def test_apsr_blocks_match_plain_replay(self, monkeypatch):
         hashes = self.spy_hashes(monkeypatch)
         # few arrivals on 100 hosts: the controller's fleet, so the slots' widths, grow mid-block
-        sim = Simulation(small_nfv(hosts=100, lambda_a=3.0, seed=5))
+        sim = Simulation(small_nfv(hosts=100, lambda_a=1.5, seed=5))
         seen = self.spy_decisions(sim, lambda view, slot, pairs: replay_sampling_decisions(
             5, slot, pairs, view.available.tolist(), sim.controller.d))
         sim.run()
@@ -443,7 +451,7 @@ class TestStreamBlocks:
 
     def test_random_blocks_match_per_key_streams(self, monkeypatch):
         hashes = self.spy_hashes(monkeypatch)
-        sim = Simulation(small_nfv(replicas=3, policy="random", schedulers=40, seed=5))
+        sim = Simulation(small_nfv(replicas=16, policy="random", schedulers=40, seed=5))
         seen = self.spy_decisions(sim, lambda view, slot, pairs: [
             choose(sim.policy, view, r, np.random.default_rng((5, 3, slot, i))) for i, r in pairs])
         sim.run()
@@ -457,11 +465,12 @@ class TestStreamBlocks:
 
     def test_deterministic_kinds_hash_no_agent_keys(self, monkeypatch):
         hashes = self.spy_hashes(monkeypatch)
-        sim = Simulation(small_nfv(replicas=3, policy="wf", schedulers=10, seed=5))
+        sim = Simulation(small_nfv(replicas=8, policy="wf", schedulers=10, seed=5))
         sim.run()
-        assert sim.metrics.slots > 32 and hashes == []
-        order = sim._streams(40, None)[0].permutation(10)  # a later block's resolve keys
-        assert order.tolist() == np.random.default_rng((5, 4, 40)).permutation(10).tolist()
+        assert sim.metrics.slots > _KEY_BLOCK + 8 and hashes == []
+        slot = _KEY_BLOCK + 8  # a later block's resolve keys
+        order = sim._streams(slot, None)[0].permutation(10)
+        assert order.tolist() == np.random.default_rng((5, 4, slot)).permutation(10).tolist()
 
 
 class TestDeterministicDecisions:
