@@ -126,6 +126,7 @@ class ClusterState:
         if sum(map(sum, caps)) > MAX_UNITS:
             raise ModelError("total capacity does not fit in int64")
         self.capacity = np.array(caps, dtype=np.int64)
+        self.n, self.dim = self.capacity.shape  # capacity is never rebound
         self._available = self.capacity.copy()
         self._cells = memoryview(self._available).cast("B").cast("q")  # row h from h·dim on
         self._total = int(self.capacity.sum())  # capacity never changes
@@ -136,14 +137,6 @@ class ClusterState:
         self._stale: set[int] = set()  # hosts placed on or released since the last refresh
         self._counted: tuple[ResourceVector, ...] | None = None  # demands _fit/_counts hold
         self._loads: np.ndarray | None = None  # kept from the first snapshot on
-
-    @property
-    def n(self) -> int:
-        return self.capacity.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.capacity.shape[1]
 
     def place(self, request: Request, host_id: int) -> bool:
         """Try to place a request; True on success, False on a resolution decline.

@@ -305,7 +305,6 @@ class Simulation:
 
         self.slot = 0
         self._arrived = self._attempted = 0  # trace[_attempted:_arrived] is pending
-        self._host_ids = np.arange(self.state.n)
         self._demands = tuple(f.demand for f in self.dataset.flavors)
         self._rng_departures = np.random.default_rng((config.seed, _DEPARTURES))
         self._keys = {}  # slot -> (agents', resolve seed states)
@@ -364,7 +363,7 @@ class Simulation:
         demands = np.array([r.flavor.demand for _, r in pairs]).T[:, :, None]  # fit only at rows
         fits = (view.available.T.take(rows, axis=1) >= demands).all(axis=0)
         self.controller.record([r.flavor.id for _, r in pairs], fits.sum(axis=1).tolist())
-        picks = pick_distinct(np.where(fits, view.ids[rows], n), n, rank)  # host ids are below n
+        picks = pick_distinct(np.where(fits, rows, n), n, rank)  # host ids are below n
         return [None if p == n else p for p in picks.tolist()]
 
     def run_slot(self) -> None:
@@ -381,8 +380,8 @@ class Simulation:
         active = min(allowed, self._arrived - self._attempted)
         requests = self.trace[self._attempted:self._attempted + active]
         self._attempted += active
-        if self.policy.kind == "apsr":
-            view = HostView(self._host_ids, state.available.copy(), state.capacity)
+        if self.policy.kind == "apsr":  # no copy: every decision is made before the first place
+            view = HostView(state.available, state.capacity)
         else:  # the state keeps the snapshot kinds' fit masks and loads current
             view = HostView.of_state(state, self._demands)
         targets = self.decide(view, slot, enumerate(requests))

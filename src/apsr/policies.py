@@ -1,22 +1,22 @@
 """Placement policies behind a single interface: view + request -> host or decline.
 
 Seven full-snapshot heuristics (ff, wf, random, ffr, wfr, adaptive,
-distfromdiag).  The deterministic kinds pick the least (key, id);
-distfromdiag ranks hosts by one exact integer key, so exactly tied hosts go
-to the least id.  The sampling agent ("apsr") is configured here too, but it
-decides on a d-host sample, which the engine draws and resolves with the
-Monte-Carlo game's kernel (``ballsbins.pick_distinct``).  Policies are
-stateless; all randomness flows through the generator passed to ``choose``,
-and the deterministic kinds never touch it.  ffr and wfr pick uniformly among
-their first ``LAMBDA_RANK`` fitting hosts; adaptive acts as wf while the mean
-host load is below ``ADAPTIVE_THRESHOLD`` and as ff from there on.  On a view
-built by ``HostView.of_state``, where host i is row i, ff, ffr and wf (adaptive
-too) read the first fitting rows in key order instead of sorting ids.
+distfromdiag).  In every view host i is row i, so each kind reads the fitting
+rows in id order: the deterministic kinds pick the least (key, id), the first
+fitting row of the least key; distfromdiag ranks hosts by one exact integer
+key, so exactly tied hosts go to the least id.  The sampling agent ("apsr") is
+configured here too, but it decides on a d-host sample, which the engine draws
+and resolves with the Monte-Carlo game's kernel (``ballsbins.pick_distinct``).
+Policies are stateless; all randomness flows through the generator passed to
+``choose``, and the deterministic kinds never touch it.  ffr and wfr pick
+uniformly among their first ``LAMBDA_RANK`` fitting hosts, by id and by
+(load, id); adaptive acts as wf while the mean host load is below
+``ADAPTIVE_THRESHOLD`` and as ff from there on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -47,31 +47,35 @@ class PolicyConfig:
 
 @dataclass
 class HostView:
-    """What a scheduler sees: every host id once, with its availability and
-    capacity rows in integer resource units.
+    """What a scheduler sees: host i is row i of the availability and capacity
+    rows, in integer resource units.
 
     A view is treated as read-only: host loads, the capacity scale and, for
     ``choose``, the fit mask of each demand vector are computed on first use and
     cached, so all decisions of a slot share one view of the slot-start snapshot.
     ``of_state`` fills them up front: copies of what a ``ClusterState`` keeps, and its scale.
+    ``ids``, if given, must be ``arange(len(available))``; it is stored nowhere.
     """
 
-    ids: np.ndarray
     available: np.ndarray
     capacity: np.ndarray
+    ids: InitVar[np.ndarray | None] = None
     _loads: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _scale: int | None = field(default=None, init=False, repr=False, compare=False)
     _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _adaptive: str | None = field(default=None, init=False, repr=False, compare=False)
-    _ids_are_rows: bool = field(default=False, init=False, repr=False, compare=False)
+
+    def __post_init__(self, ids):
+        if ids is not None and not np.array_equal(ids, np.arange(len(self.available))):
+            raise ConfigError("host i is row i of a view: ids must be arange(len(available))")
 
     @classmethod
     def of_state(cls, state: ClusterState, demands: tuple[ResourceVector, ...]) -> HostView:
-        """The state's current snapshot, host i in row i, with its loads, capacity scale
-        and the fit masks of ``demands`` filled in."""
-        view = cls(np.arange(state.n), state.available.copy(), state.capacity)
+        """The state's current snapshot with its loads, capacity scale and the fit
+        masks of ``demands`` filled in."""
+        view = cls(state.available.copy(), state.capacity)
         view._masks, view._loads = state.snapshot(demands)
-        view._scale, view._ids_are_rows = state.scale, True
+        view._scale = state.scale
         return view
 
     def loads(self) -> np.ndarray:
@@ -96,11 +100,6 @@ class HostView:
         return self._masks[demand]
 
 
-def _least(keys: np.ndarray, ids: np.ndarray) -> int:
-    """The id a (key, id) sort ranks first: the least id among the least keys."""
-    return int(ids[keys == keys.min()].min())
-
-
 def choose(
     policy: PolicyConfig, view: HostView, request: Request, rng: np.random.Generator | None
 ) -> int | None:
@@ -117,7 +116,7 @@ def choose(
     demand = request.flavor.demand
     mask = view.fit_mask(demand)
 
-    if view.ids.size == 0:
+    if mask.size == 0:
         raise ConfigError("empty host view")
     first = mask.argmax()  # the first fitting row; row 0 when none fits
     if not mask[first]:
@@ -128,38 +127,31 @@ def choose(
         if view._adaptive is None:  # one mean-load test per view
             view._adaptive = "wf" if float(view.loads().mean()) < ADAPTIVE_THRESHOLD else "ff"
         kind = view._adaptive
-    if view._ids_are_rows and kind in ("ff", "ffr", "wf"):
-        # host i is row i, so the least (key, id) of fitting hosts is the first fitting row by key
-        if kind == "ff":
-            return int(first)
-        if kind == "ffr":
-            candidates = np.flatnonzero(mask)[:LAMBDA_RANK]
-            return int(candidates[rng.integers(candidates.size)])
+    # host i is row i, so the least (key, id) of fitting hosts is the first fitting row by key
+    if kind == "ff":
+        return int(first)
+    if kind == "wf":  # unfit hosts get an infinite key; loads are finite
         loads = view.loads()
         row = loads.argmin()  # the first row of the least load
         return int(row if mask[row] else np.where(mask, loads, np.inf).argmin())
-    if kind == "wf":  # unfit hosts get an infinite key; loads are finite
-        return _least(np.where(mask, view.loads(), np.inf), view.ids)
-    ids = view.ids[mask]
-    if kind == "ff":
-        return int(ids.min())
+    rows = np.flatnonzero(mask)
     if kind == "random":
-        return int(ids[rng.integers(ids.size)])
+        return int(rows[rng.integers(rows.size)])
     if kind == "ffr":
-        candidates = np.sort(ids)[:LAMBDA_RANK]
+        candidates = rows[:LAMBDA_RANK]
         return int(candidates[rng.integers(candidates.size)])
 
     loads = view.loads()  # rejects zero-capacity coordinates for every kind below
     if kind == "wfr":
-        # rank by (load, id), then pick uniformly among the top LAMBDA_RANK
-        candidates = ids[np.lexsort((ids, loads[mask]))][:LAMBDA_RANK]
+        # rows ascend, so a stable sort by load ranks them by (load, id); pick among the top
+        candidates = rows[loads[rows].argsort(kind="stable")][:LAMBDA_RANK]
         return int(candidates[rng.integers(candidates.size)])
     # distfromdiag: prefer the host whose usage fractions after a hypothetical
     # placement stay closest to the diagonal (equal use of every resource).
     # With U = usage * scale, an integer, the key dim*sum(U^2) - sum(U)^2 is
     # (dim * scale * distance)^2, so it ranks hosts exactly.  U <= scale bounds
-    # both terms by (dim * scale)^2; past int64 they are Python ints.
+    # both terms by (dim * scale)^2; past int64 they are Python ints, which argmin compares.
     dim, scale = len(demand), view.scale()
-    capacity = view.capacity[mask].astype(np.int64 if (dim * scale) ** 2 <= MAX_UNITS else object)
-    used = (capacity - view.available[mask] + demand) * (scale // capacity)
-    return _least(dim * (used * used).sum(axis=1) - used.sum(axis=1) ** 2, ids)
+    capacity = view.capacity[rows].astype(np.int64 if (dim * scale) ** 2 <= MAX_UNITS else object)
+    used = (capacity - view.available[rows] + demand) * (scale // capacity)
+    return int(rows[(dim * (used * used).sum(axis=1) - used.sum(axis=1) ** 2).argmin()])

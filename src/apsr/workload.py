@@ -327,11 +327,7 @@ def _size_one_run(
     for request in trace:
         target = None
         if opened:
-            view = HostView(
-                ids=np.arange(opened),
-                available=available[:opened],
-                capacity=capacity[:opened],
-            )
+            view = HostView(available[:opened], capacity[:opened])
             target = choose(policy, view, request, rng)
         while target is None:
             opened += 1

@@ -388,7 +388,7 @@ class TestKeptFitsAndLoads:
 
     @staticmethod
     def fresh(state):
-        return HostView(np.arange(state.n), state.available.copy(), state.capacity)
+        return HostView(state.available.copy(), state.capacity)
 
     def check_kept(self, state):
         """Every host but the stale ones has its kept fits and load equal to a full

@@ -268,7 +268,7 @@ class TestSnapshotCausality:
         assert len(pairs) >= 2
 
         def decide(order):
-            view = HostView(np.arange(sim.state.n), sim.state.available.copy(), sim.state.capacity)
+            view = HostView(sim.state.available.copy(), sim.state.capacity)
             return sim.decide(view, sim.slot, order)
 
         forward = decide(pairs)
@@ -490,7 +490,7 @@ class TestDeterministicDecisions:
 
     @staticmethod
     def fresh_view(sim):
-        return HostView(np.arange(sim.state.n), sim.state.available.copy(), sim.state.capacity)
+        return HostView(sim.state.available.copy(), sim.state.capacity)
 
     @pytest.mark.parametrize("preset", ["nfv", "amazon"])
     @pytest.mark.parametrize("kind", ["ff", "wf", "adaptive", "distfromdiag"])

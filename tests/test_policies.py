@@ -38,7 +38,7 @@ def make_view(available, capacity=None):
         capacity = np.full_like(available, 100)
     else:
         capacity = np.asarray(capacity, dtype=np.int64)
-    return HostView(np.arange(available.shape[0]), available, capacity)
+    return HostView(available, capacity)
 
 
 def req(*demand):
@@ -109,7 +109,7 @@ class TestDeterministicPolicies:
         shapes = [(999999937, 999999929), (999999929, 999999937)] * 3
         available = [(999999937, 999999929), (999999929, 999999937), (500000000, 500000000),
                      (499999999, 499999999), (123456789, 987654321), (987654321, 123456789)]
-        view = HostView(np.arange(6), np.array(available), np.array(shapes))
+        view = HostView(np.array(available), np.array(shapes))
         assert (2 * view.scale()) ** 2 > MAX_UNITS
         for demand in [(1, 1), (7, 3), (100000000, 99999999), (123456789, 123456789)]:
             expected = reference_choice("distfromdiag", range(6), available, shapes, demand)
@@ -141,10 +141,9 @@ MIXED = st.sampled_from((3, 10, 12, 1000))
 
 @st.composite
 def snapshot_views(draw, capacities):
-    """(ids, capacity, available, demand) of a small full view with distinct,
-    unsorted ids; half of them are fresh clusters of identical hosts."""
+    """(capacity, available, demand) of a small full view, host i in row i; half of
+    them are fresh clusters of identical hosts."""
     n = draw(st.integers(1, 7))
-    ids = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True))
     if draw(st.booleans()):
         shape = draw(st.tuples(capacities, capacities))
         capacity = available = [shape] * n
@@ -152,17 +151,17 @@ def snapshot_views(draw, capacities):
         capacity = draw(st.lists(st.tuples(capacities, capacities), min_size=n, max_size=n))
         available = [tuple(draw(st.integers(0, c)) for c in cap) for cap in capacity]
     demand = draw(st.tuples(UNITS, UNITS).filter(any))
-    return ids, capacity, available, demand
+    return capacity, available, demand
 
 
 class TestAgainstPlainLoop:
     @staticmethod
     def check(case, kinds):
-        ids, capacity, available, demand = case
-        view = HostView(np.array(ids), np.array(available), np.array(capacity))
+        capacity, available, demand = case
+        view = HostView(np.array(available), np.array(capacity))
         request = Request(0, Flavor("f", demand))
         for kind in kinds:
-            expected = reference_choice(kind, ids, available, capacity, demand)
+            expected = reference_choice(kind, range(len(capacity)), available, capacity, demand)
             assert choose(PolicyConfig(kind), view, request, None) == expected, kind
 
     @given(snapshot_views(POWERS_OF_TWO))
@@ -202,7 +201,7 @@ class TestStateBuiltView:
 
     @staticmethod
     def views(state, demand):
-        hand = HostView(np.arange(state.n), state.available.copy(), state.capacity)
+        hand = HostView(state.available.copy(), state.capacity)
         return hand, HostView.of_state(state, (demand,))
 
     @given(placed_states(), st.integers(0, 3))
@@ -249,9 +248,9 @@ class FixedDraw:
 
 
 class TestFirstFittingRow:
-    """On a state-built view, where host i is row i, ff, ffr, wf and adaptive read
-    the first fitting rows in key order.  They pick as a plain loop does, also
-    when the least-loaded host is too small for the demand or no host fits."""
+    """Host i is row i, so ff, ffr, wf and adaptive read the first fitting rows in
+    key order, and wfr and random rank the fitting rows.  They pick as a plain loop
+    does, also when the least-loaded host is too small for the demand or no host fits."""
 
     @staticmethod
     def check(case, kinds):
@@ -261,13 +260,18 @@ class TestFirstFittingRow:
         for kind in kinds:
             expected = reference_choice(kind, range(state.n), available, capacity, demand)
             assert choose(PolicyConfig(kind), view, req(*demand), None) == expected, kind
-        fitting = [h for h in range(state.n) if fits(demand, available[h])][:LAMBDA_RANK]
-        if not fitting:
-            assert choose(PolicyConfig("ffr"), view, req(*demand), FixedDraw(0)) is None
-        for index, host in enumerate(fitting):  # ffr's candidates, in order
-            draw = FixedDraw(index)
-            assert choose(PolicyConfig("ffr"), view, req(*demand), draw) == host
-            assert draw.sizes == [len(fitting)]
+        fitting = [h for h in range(state.n) if fits(demand, available[h])]
+        load = [max((c - a) / c for c, a in zip(cap, avail))
+                for cap, avail in zip(capacity, available)]
+        candidates = {"ffr": fitting[:LAMBDA_RANK], "random": fitting,
+                      "wfr": sorted(fitting, key=lambda h: (load[h], h))[:LAMBDA_RANK]}
+        for kind, hosts in candidates.items():
+            if not hosts:
+                assert choose(PolicyConfig(kind), view, req(*demand), FixedDraw(0)) is None, kind
+            for index, host in enumerate(hosts):  # the kind's candidates, in order
+                draw = FixedDraw(index)
+                assert choose(PolicyConfig(kind), view, req(*demand), draw) == host, kind
+                assert draw.sizes == [len(hosts)], kind
 
     @given(placed_states())
     @example((placed([(16, 16)] * 7, []), (4, 4)))  # exact ties at load 0
@@ -275,6 +279,8 @@ class TestFirstFittingRow:
     @example((placed([(8, 8), (16, 16), (16, 16)], [(1, (4, 4)), (2, (2, 2))]),
               (10, 10)))  # the least-loaded host 0 is too small; 2 is loaded less than 1
     @example((placed([(8, 8)] * 3, [(0, (1, 1))]), (9, 1)))  # no host fits
+    @example((placed([(16, 16)] * 8, [(h, (2, 2)) for h in range(7)]),
+              (4, 4)))  # host 7 is least loaded; hosts 0-6 tie at wfr's cut load
     def test_deterministic_kinds_and_ffr_candidates(self, case):
         self.check(case, DETERMINISTIC_KINDS)
 
@@ -296,7 +302,7 @@ class TestRandomizedPolicies:
     def chi_square_uniform(kind, view, expected_hosts, trials=10_000):
         """Picks of ``kind`` land on exactly ``expected_hosts``, uniformly."""
         generator = np.random.default_rng(3)
-        counts = np.zeros(view.ids.size)
+        counts = np.zeros(len(view.available))
         for _ in range(trials):
             counts[choose(PolicyConfig(kind), view, req(10, 10), generator)] += 1
         assert set(np.flatnonzero(counts).tolist()) == set(expected_hosts)
@@ -356,7 +362,7 @@ class TestSamplingAgent:
         # hosts 3, 5, 3 sampled, all full
         assert pick_distinct(np.array([[6, 6, 6]]), 6, np.zeros_like).tolist() == [6]
         sim = sampling_sim(d=5)
-        full = HostView(np.arange(40), np.zeros_like(sim.state.capacity), sim.state.capacity)
+        full = HostView(np.zeros_like(sim.state.capacity), sim.state.capacity)
         pairs = list(enumerate(sim.trace[:6]))
         assert sim.decide(full, 0, pairs) == [None] * 6
         assert sum(sim.controller.queried.values()) == 5 * 6  # d hosts per decision
@@ -379,7 +385,7 @@ class TestSamplingAgent:
         sim = sampling_sim(d=8)
         available = sim.state.capacity.copy()
         available[::2] = 0  # even hosts full
-        view = HostView(np.arange(40), available, sim.state.capacity)
+        view = HostView(available, sim.state.capacity)
         targets = sim.decide(view, 0, list(enumerate(sim.trace[:200])))
         assert {t % 2 for t in targets if t is not None} == {1}
         assert None in targets  # some samples held only even hosts
@@ -391,7 +397,7 @@ class TestSamplingAgent:
         sim = sampling_sim(d)
         available = sim.state.capacity.copy()
         available[k:] = 0
-        view = HostView(np.arange(n), available, sim.state.capacity)
+        view = HostView(available, sim.state.capacity)
         request = sim.trace[0]
         targets = sim.decide(view, 0, [(i, request) for i in range(trials)])
         p_decline = 1.0 - sigma(n, k, d)
@@ -420,6 +426,14 @@ class TestInterfaceContracts:
                     assert picked is None
                 else:
                     assert picked is not None and fits_mask[picked]
+
+    def test_ids_if_given_are_the_rows(self):
+        available = np.full((4, 2), 100)
+        view = HostView(available, available, ids=np.arange(4))
+        assert choose(PolicyConfig("ff"), view, req(10, 10), None) == 0
+        for ids in (np.arange(4)[::-1], np.arange(1, 5), np.arange(3)):
+            with pytest.raises(ConfigError):
+                HostView(available, available, ids=ids)
 
     def test_policy_config_validation(self):
         with pytest.raises(ConfigError):

@@ -14,10 +14,10 @@ keeps the command's stdout next to the files it writes:
   before its trace has arrived; nfv with budget 40%, T=3 and alpha=0.3; nfv
   with a fixed fleet of s=10 under each of the seven snapshot policies; amazon
   (two host shapes) with s=10 under distfromdiag; google with s=10 under wf,
-  ff, ffr and adaptive, which read the first fitting rows of a state-built
-  view; and google with s=10 under random and wfr, which call `integers` on
-  the per-scheduler streams over every fitting host (random) or the
-  `lexsort` candidates (wfr) of 5,989 hosts;
+  ff, ffr and adaptive, which read the first fitting rows of the view; and
+  google with s=10 under random and wfr, which call `integers` on the
+  per-scheduler streams over every fitting host (random) or the (load, id)
+  candidates (wfr) of 5,989 hosts;
 - `apsr simulate --seeds 4294967301,18446744073709551623` (2^32 + 5 and
   2^64 + 7, seeds of two and three 32-bit words) for nfv and for nfv with a
   fixed fleet of s=10 under random;
