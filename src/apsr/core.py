@@ -214,13 +214,13 @@ class ClusterState:
         return AvailabilityCensus(dict(zip([f.id for f in flavors], self._counts.tolist())))
 
     def snapshot(self, demands: tuple[ResourceVector, ...]) -> tuple[dict, np.ndarray | None]:
-        """Copies of the current fit mask of each of ``demands`` and of the host loads,
-        kept from the first call on (None with a zero capacity coordinate)."""
+        """The current fit mask of each of ``demands`` and the host loads, kept from the
+        first call on (None with a zero capacity coordinate).  They are the kept arrays,
+        not copies: valid until the next ``place`` or ``complete``."""
         if self._loads is None and self.capacity.all():
             self._loads = host_loads(self.capacity, self.available)
         self._refresh(demands)
-        loads = None if self._loads is None else self._loads.copy()
-        return dict(zip(demands, self._fit.copy())), loads
+        return dict(zip(demands, self._fit)), self._loads
 
     def utilization(self) -> float:
         """Fraction of total capacity in use, summed over all coordinates (0 with none)."""

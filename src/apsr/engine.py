@@ -6,17 +6,18 @@ period boundaries), scheduler decisions, randomized resolution, metrics.  A
 slot's arrival count is drawn when the slot starts, so only ``max_slots`` bounds
 how many slots a run draws.  Every scheduler reads one shared view of the
 start-of-slot snapshot.  A deterministic kind (ff, wf, adaptive, distfromdiag)
-decides once per distinct demand per slot; the random, ffr and wfr schedulers
-and the sampling agents each own the stream SeedSequence((seed, 3, slot, i)), so
-no decision depends on the order they are evaluated in.  Sampling agents bound
-their streams' raw words as numpy's ``integers`` does (Lemire's multiply-shift
-step) and test fits only at the hosts they sampled.  Assignments then resolve
-against the live state in the random order of SeedSequence((seed, 4, slot)); one
-fails if its host can no longer take its request.  Stream keys are hashed a block
-of slots at a time.  Declined requests are not re-queued: each request gets a
-single placement attempt, in trace order, so the pending queue is the slice of
-the trace that has arrived but not been attempted.  Departures draw positions in
-the cluster state's swap-remove order of residents.
+decides once per distinct demand per slot and draws nothing.  The random, ffr
+and wfr schedulers and the sampling agents draw from the slot's generator
+``default_rng((seed, 3, slot))`` in scheduler-index order, so a slot's
+decisions depend on its snapshot and its (index, request) pairs, never on the
+order of the pairs.  Sampling agent i takes row i of one (agents, d) draw of
+hosts, tests fits only at those hosts, and all agents then draw their ranks in
+one call.  Assignments resolve against the live state in a random order drawn
+from the run's generator ``default_rng((seed, 4))``; one fails if its host can
+no longer take its request.  Declined requests are not re-queued: each request
+gets a single placement attempt, in trace order, so the pending queue is the
+slice of the trace that has arrived but not been attempted.  Departures draw
+positions in the cluster state's swap-remove order of residents.
 """
 
 from __future__ import annotations
@@ -42,76 +43,9 @@ from .workload import (
 
 # seed sub-stream tags
 _TRACE, _ARRIVALS, _DEPARTURES, _SCHEDULER, _RESOLVE = range(5)
-_KEY_BLOCK = 128  # slots whose stream keys are hashed at once
 #: ExperimentConfig fields only the controller reads; set away from its default
 #: under any policy but "apsr", a field would only be echoed
 _CONTROLLER_SETTINGS = ("delta_hat", "budget", "period", "alpha", "estimator")
-
-
-def _seed_states(key: list) -> np.ndarray:
-    """``SeedSequence(key).generate_state(4, np.uint64)`` of many keys at once.  ``key``
-    holds ints, split into uint32 words as numpy does, and arrays of one-word values."""
-    words = [w for part in key for w in ([part] if isinstance(part, np.ndarray) else
-             [part >> b & 0xFFFFFFFF for b in range(0, max(int(part).bit_length(), 1), 32)])]
-    words = np.broadcast_arrays(*(np.atleast_1d(w).astype(np.uint32) for w in words))
-    consts = {0x931E8875: 0x43B0D7E5, 0x58F38DED: 0x8B51F9DD}  # multiplier: hash constant
-    def hashmix(value, mult=0x931E8875):  # each call advances its multiplier's constant
-        value = value ^ consts[mult]
-        consts[mult] = consts[mult] * mult & 0xFFFFFFFF
-        return (value := value * consts[mult]) ^ value >> 16
-    pool = [hashmix(words[i] if i < len(words) else 0 * words[0]) for i in range(4)]
-    # mix each pool word into the other three, then each word past the pool's 4 into all
-    for src, dst in [(s, d) for s in range(max(len(words), 4)) for d in range(4) if s != d]:
-        mixed = pool[dst] * 0xCA01F9DD - hashmix(pool[src] if src < 4 else words[src]) * 0x4973F715
-        pool[dst] = mixed ^ mixed >> 16
-    state = [hashmix(pool[j % 4], 0x58F38DED) for j in range(8)]  # generate_state's 8 words
-    return np.stack(state, axis=-1, dtype="<u4").view("<u8")  # little-endian pairs, as numpy
-
-
-class _Words:
-    """A C-contiguous uint64[4] row of ``_seed_states``, whose buffer PCG64 reads as its seed."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=None):
-        return self.words
-
-
-def _pcg64_streams(seed_states: np.ndarray) -> list[np.random.Generator]:
-    """A fresh generator per row of ``_seed_states``, each drawing as ``default_rng(key)``."""
-    np.random.bit_generator.ISeedSequence.register(_Words)  # acts once; numpy.random loads lazily
-    return [np.random.Generator(np.random.PCG64(_Words(row))) for row in seed_states]
-
-
-def _lemire(half, bound: int):
-    """numpy's draw below ``bound`` from a 32-bit ``half``, and whether numpy rejects it."""
-    scaled = half * bound  # half: an int or a uint64 array (NumPy 1.x keeps uint32 * n in uint32)
-    return scaled >> 32, scaled & 0xFFFFFFFF < (1 << 32) % bound  # past 2^32 all reject
-
-
-def _agent_draws(streams: list, n: int, d: int):
-    """``integers(0, n, size=d)`` then ``integers(c)`` on each fresh generator of ``streams``:
-    (agents, d) hosts from raw-word halves 0..d-1, low half first, and ``rank(distinct)`` from
-    the next (half 0 if n = 1: numpy draws no bits below 1), or the generator if one rejects."""
-    halves = np.array([g.bit_generator.random_raw(d // 2 + 1) for g in streams], "<u8").view("<u4")
-    hosts, rejected = _lemire(halves[:, :d].astype(np.uint64), n)
-    redrawn = set()
-    def redraw(j):  # PCG64's period is 2^128 words, so this steps back to the stream's start
-        streams[j].bit_generator.advance((1 << 128) - (d // 2 + 1))
-        hosts[j] = streams[j].integers(0, n, size=d)
-        redrawn.add(j)
-    for j in {i // d for i in np.flatnonzero(rejected).tolist()}:
-        redraw(j)
-    def rank(distinct):  # a count of 0 is bounded as 1: rank 0, never rejected
-        ranks = []
-        for j, (half, c) in enumerate(zip(halves[:, d * (n > 1)].tolist(), distinct.tolist())):
-            value, reject = _lemire(half, max(c, 1))
-            if reject and j not in redrawn:
-                redraw(j)
-            ranks.append(streams[j].integers(c) if c and j in redrawn else value)
-        return ranks
-    return hosts.view(np.int64), rank
 
 
 @dataclass
@@ -307,22 +241,7 @@ class Simulation:
         self._arrived = self._attempted = 0  # trace[_attempted:_arrived] is pending
         self._demands = tuple(f.demand for f in self.dataset.flavors)
         self._rng_departures = np.random.default_rng((config.seed, _DEPARTURES))
-        self._keys = {}  # slot -> (agents', resolve seed states)
-        self._width = 0  # agent keys hashed per slot: the most agents any slot has needed
-
-    def _streams(self, slot: int, indices: list[int] | None) -> list[np.random.Generator]:
-        """Generators drawing as ``default_rng((seed, _SCHEDULER, slot, i))`` per i, or
-        (seed, _RESOLVE, slot) for None; keys hashed in blocks as wide as the widest slot yet."""
-        width = 0 if indices is None else max(indices) + 1
-        if slot not in self._keys or width > len(self._keys[slot][0]):
-            seed, slots = self.config.seed, np.arange(slot, slot + _KEY_BLOCK)  # >= 2^32: unread
-            self._width = max(self._width, width)
-            agents = (_seed_states([seed, _SCHEDULER, slots[:, None], np.arange(self._width)])
-                      if self._width else np.empty((slots.size, 0, 4), np.uint64))
-            resolves = _seed_states([seed, _RESOLVE, slots])
-            self._keys = dict(zip(slots.tolist(), zip(agents, resolves)))
-        agents, resolve = self._keys[slot]
-        return _pcg64_streams(resolve[None] if indices is None else agents[indices])
+        self._rng_resolve = np.random.default_rng((config.seed, _RESOLVE))
 
     def _process_departures(self) -> None:
         resident = self.state.resident_ids
@@ -342,11 +261,12 @@ class Simulation:
         """Target host (or None to decline) of each (scheduler index, request) pair.
 
         A decision reads only the slot's shared snapshot ``view`` and, for the
-        random, ffr and wfr kinds and the sampling agents, scheduler i's own
-        (seed, slot, i) stream, so the order of the pairs changes no target.
-        Deterministic kinds call ``choose`` once per distinct demand, the other
-        snapshot kinds once per pair; sampling agents draw d hosts from raw words,
-        test fits there alone, then all pick in one call to the Monte-Carlo game's kernel.
+        random, ffr and wfr kinds and the sampling agents, the slot's generator,
+        drawn from in scheduler-index order, so the order of the pairs changes no
+        target.  Deterministic kinds call ``choose`` once per distinct demand and
+        build no generator, the other snapshot kinds once per pair; sampling agents
+        draw d hosts each, test fits there alone, then all pick in one call to the
+        Monte-Carlo game's kernel.
         """
         pairs = list(schedulers)
         if self.policy.kind in DETERMINISTIC_KINDS:  # one view and one demand give one pick
@@ -355,14 +275,23 @@ class Simulation:
             return [picks[r.flavor.demand] for _, r in pairs]
         if not pairs:
             return []
-        streams = self._streams(slot, [i for i, _ in pairs])
+        rng = np.random.default_rng((self.config.seed, _SCHEDULER, slot))
         if self.policy.kind != "apsr":
-            return [choose(self.policy, view, r, rng) for (_, r), rng in zip(pairs, streams)]
-        n = self.state.n
-        rows, rank = _agent_draws(streams, n, self.controller.d)
+            requests = dict(pairs)
+            picks = {i: choose(self.policy, view, requests[i], rng) for i in sorted(requests)}
+            return [picks[i] for i, _ in pairs]
+        n, index = self.state.n, [i for i, _ in pairs]
+        width = max(index) + 1
+        rows = rng.integers(0, n, size=(width, self.controller.d))[index]  # agent i: row i
         demands = np.array([r.flavor.demand for _, r in pairs]).T[:, :, None]  # fit only at rows
         fits = (view.available.T.take(rows, axis=1) >= demands).all(axis=0)
         self.controller.record([r.flavor.id for _, r in pairs], fits.sum(axis=1).tolist())
+
+        def rank(distinct):  # bound 1 draws nothing: a count of 0 and an index not in pairs
+            bounds = np.ones(width, np.int64)
+            bounds[index] = np.maximum(distinct, 1)
+            return rng.integers(0, bounds)[index]
+
         picks = pick_distinct(np.where(fits, rows, n), n, rank)  # host ids are below n
         return [None if p == n else p for p in picks.tolist()]
 
@@ -387,7 +316,7 @@ class Simulation:
         targets = self.decide(view, slot, enumerate(requests))
         queried = self.controller.d if self.policy.kind == "apsr" else state.n
 
-        order = self._streams(slot, None)[0].permutation(active)  # decide is done with [0]
+        order = self._rng_resolve.permutation(active)
         successes = no_host = collisions = 0
         for j in order:
             request, target = requests[j], targets[j]

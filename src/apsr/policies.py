@@ -53,7 +53,8 @@ class HostView:
     A view is treated as read-only: host loads, the capacity scale and, for
     ``choose``, the fit mask of each demand vector are computed on first use and
     cached, so all decisions of a slot share one view of the slot-start snapshot.
-    ``of_state`` fills them up front: copies of what a ``ClusterState`` keeps, and its scale.
+    ``of_state`` fills them up front from what a ``ClusterState`` keeps, without
+    copies, so such a view holds only until the state's next ``place`` or ``complete``.
     ``ids``, if given, must be ``arange(len(available))``; it is stored nowhere.
     """
 
@@ -73,7 +74,7 @@ class HostView:
     def of_state(cls, state: ClusterState, demands: tuple[ResourceVector, ...]) -> HostView:
         """The state's current snapshot with its loads, capacity scale and the fit
         masks of ``demands`` filled in."""
-        view = cls(state.available.copy(), state.capacity)
+        view = cls(state.available, state.capacity)
         view._masks, view._loads = state.snapshot(demands)
         view._scale = state.scale
         return view

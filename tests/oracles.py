@@ -123,23 +123,24 @@ def replay_balls_and_bins(n: int, k: int, s: int, d: int, trials: int, seed, chu
 
 
 def replay_sampling_decisions(seed: int, slot: int, pairs, available, d: int):
-    """The targets of one slot's sampling agents, by a plain loop per agent.
+    """The targets of one slot's sampling agents, by a plain loop over scheduler indices.
 
-    Agent i of ``pairs`` (scheduler index, request) owns the stream
-    ``default_rng((seed, 3, slot, i))``, 3 being the engine's scheduler
-    sub-stream tag.  It draws ``integers(0, n, d)`` hosts, keeps the sorted
-    distinct sampled hosts whose ``available`` row passes ``core.fits``, and
-    takes the one at ``integers(count)`` of the same stream, or declines
-    (None) without a second draw when none fits.
+    The slot draws from ``default_rng((seed, 3, slot))``, 3 being the engine's
+    scheduler sub-stream tag.  Every index from 0 to the highest in ``pairs``
+    (scheduler index, request), in order and whether or not it holds a request,
+    draws ``integers(0, n, d)`` hosts.  Then every index, in order, draws
+    ``integers(max(count, 1))``, count being the number of its sorted distinct
+    sampled hosts whose ``available`` row passes ``core.fits`` (0 without a
+    request).  An agent takes its host of that rank, or declines (None) when
+    none fits.
     """
-    n = len(available)
-    targets = []
-    for i, request in pairs:
-        rng = np.random.default_rng((seed, 3, slot, i))
-        sample = rng.integers(0, n, size=d).tolist()
-        seen = sorted({h for h in sample if fits(request.flavor.demand, available[h])})
-        targets.append(seen[int(rng.integers(len(seen)))] if seen else None)
-    return targets
+    n, requests = len(available), dict(pairs)
+    rng = np.random.default_rng((seed, 3, slot))
+    samples = [rng.integers(0, n, size=d).tolist() for _ in range(max(requests) + 1)]
+    seen = [sorted({h for h in sample if fits(requests[i].flavor.demand, available[h])})
+            if i in requests else [] for i, sample in enumerate(samples)]
+    ranks = [int(rng.integers(max(len(hosts), 1))) for hosts in seen]
+    return [seen[i][ranks[i]] if seen[i] else None for i, _ in pairs]
 
 
 def reference_choice(kind, ids, available, capacity, demand):

@@ -21,7 +21,6 @@ from apsr import (
     max_paral,
     run_experiment,
 )
-from apsr.engine import _KEY_BLOCK, _agent_draws, _pcg64_streams, _seed_states
 from apsr.workload import MAX_RATE
 from oracles import replay_sampling_decisions
 
@@ -35,18 +34,6 @@ def tiny_dataset(tmp_path):
         "flavor 0.6 0.6 2\n"
     )
     return str(path)
-
-
-class CountingStream:
-    """A generator whose ``integers`` calls are counted: the sampling agents call it only
-    to redraw after a rejected raw half."""
-
-    def __init__(self, rng):
-        self.bit_generator, self.calls, self._rng = rng.bit_generator, 0, rng
-
-    def integers(self, *args, **kwargs):
-        self.calls += 1
-        return self._rng.integers(*args, **kwargs)
 
 
 def small_nfv(**overrides) -> ExperimentConfig:
@@ -278,8 +265,8 @@ class TestSnapshotCausality:
         return forward, decide(pairs[::-1])[::-1]
 
     def test_decisions_invariant_to_evaluation_order(self):
-        """Scheduler i's decision depends only on the slot-start snapshot and
-        its own (seed, slot, i) stream, so evaluating in any order agrees."""
+        """A slot's decisions depend only on the slot-start snapshot and its
+        (index, request) pairs, drawn in index order, so any order of the pairs agrees."""
         sim = Simulation(small_nfv(policy="random", schedulers=8, seed=13))
         # advance a few slots to reach an interesting state
         for _ in range(6):
@@ -296,9 +283,9 @@ class TestSnapshotCausality:
 
 
 class TestSamplingDecisions:
-    def test_decide_matches_plain_replay_of_each_agent_stream(self):
-        """Every apsr decision equals a per-agent replay of its own stream:
-        d-sample, sorted distinct fitting hosts, then integers(distinct)."""
+    def test_decide_matches_plain_replay_of_the_slot_generator(self):
+        """Every apsr decision equals a plain replay of the slot's generator: each
+        index's d-sample in turn, then each index's integers(distinct) in turn."""
         sim = Simulation(small_nfv(hosts=20, seed=5))  # too few hosts: declines too
         seen = []
 
@@ -317,160 +304,103 @@ class TestSamplingDecisions:
         for available, slot, pairs, d, targets in checked:
             assert targets == replay_sampling_decisions(5, slot, pairs, available, d)
 
-    def test_redraw_in_a_run_matches_plain_replay(self, monkeypatch):
-        """In nfv-mmpp seed 2, an agent of slot 1333 draws a raw half that numpy rejects.
-        It redraws on its generator, and every slot still decides as the plain replay."""
-        sim = Simulation(make_config("nfv-mmpp", seed=2, max_slots=1334))
-        counted = []
+    @pytest.mark.parametrize("policy", [dict(), dict(policy="random", schedulers=8)])
+    def test_gapped_and_reversed_indices_decide_as_the_replay(self, policy):
+        """Sampling agents draw a row for every index up to the highest, and the
+        random kinds skip missing indices; either way the pairs' order changes nothing."""
+        sim = Simulation(small_nfv(hosts=20, seed=7, **policy))
+        for _ in range(5):
+            sim.run_slot()
+        pending = sim.trace[sim._attempted:]
+        for indices in ([0, 2, 5, 6], [7, 3, 1], [4]):
+            pairs = list(zip(indices, pending))
+            view = HostView(sim.state.available.copy(), sim.state.capacity)
+            targets = sim.decide(view, sim.slot, pairs)
+            if sim.controller is None:
+                assert targets == replay_snapshot_decisions(sim, view, sim.slot, pairs)
+            else:
+                assert targets == replay_sampling_decisions(
+                    7, sim.slot, pairs, view.available.tolist(), sim.controller.d)
+            assert sim.decide(view, sim.slot, pairs[::-1]) == targets[::-1]
 
-        def spy(streams, n, d):
-            streams = [CountingStream(rng) for rng in streams]
-            counted.append((sim.slot, streams))
-            return _agent_draws(streams, n, d)
 
-        monkeypatch.setattr(apsr.engine, "_agent_draws", spy)
-        def replay(view, slot, pairs):
-            available = view.available.tolist()
-            return replay_sampling_decisions(2, slot, pairs, available, sim.controller.d)
+def spy_decisions(sim, reference):
+    """Each non-empty decide call's targets with ``reference(view, slot, pairs)``'s."""
+    seen = []
 
-        seen = TestStreamBlocks.spy_decisions(sim, replay)
+    def spy(view, slot, pairs):
+        pairs = list(pairs)
+        targets = Simulation.decide(sim, view, slot, pairs)
+        if pairs:
+            seen.append((targets, reference(view, slot, pairs)))
+        return targets
+
+    sim.decide = spy
+    return seen
+
+
+def replay_snapshot_decisions(sim, view, slot, pairs):
+    """``choose`` for each pair in ascending scheduler index on ``default_rng((seed, 3, slot))``."""
+    rng = np.random.default_rng((sim.config.seed, 3, slot))
+    picks = {i: choose(sim.policy, view, r, rng) for i, r in sorted(pairs, key=lambda p: p[0])}
+    return [picks[i] for i, _ in pairs]
+
+
+class TestSlotGenerators:
+    """A slot's decisions draw from ``default_rng((seed, 3, slot))``, and the run's
+    resolution orders from one ``default_rng((seed, 4))``."""
+
+    @pytest.mark.parametrize("kind", ["random", "ffr", "wfr"])
+    def test_snapshot_kinds_replay_choose_in_index_order(self, kind):
+        sim = Simulation(small_nfv(replicas=4, policy=kind, schedulers=10, seed=5))
+        seen = spy_decisions(sim, lambda view, slot, pairs: replay_snapshot_decisions(
+            sim, view, slot, pairs))
         sim.run()
-        assert sim.metrics.slots == 1334 and len(seen) > 1300
-        assert [slot for slot, streams in counted if any(s.calls for s in streams)] == [1333]
+        assert len(seen) == sim.metrics.slots >= 10
+        assert sum(len(targets) for targets, _ in seen) == len(sim.trace)
         for targets, replayed in seen:
             assert targets == replayed
 
+    @pytest.mark.parametrize("policy", [dict(), dict(policy="random", schedulers=10),
+                                        dict(policy="wf", schedulers=10)])
+    def test_resolution_follows_the_run_generator(self, policy):
+        """Each slot's placements are tried in ``default_rng((seed, 4)).permutation(active)``
+        order, one permutation per slot from the one generator."""
+        sim = Simulation(small_nfv(replicas=4, seed=5, **policy))
+        decided = spy_decisions(sim, lambda view, slot, pairs: (slot, pairs))
+        tried, place = [], sim.state.place
 
-class TestStreamBlocks:
-    """Stream keys are hashed for a block of slots at once, and numpy seeds a fresh
-    generator from each key's hashed words; every stream draws exactly as
-    ``default_rng(key)``."""
+        def spy_place(request, host):
+            tried.append((sim.slot, request.id))
+            return place(request, host)
 
-    @staticmethod
-    def assert_agent_draws(rng, key, n: int, d: int, c: int) -> bool:
-        """``_agent_draws`` on the fresh generator ``rng`` of ``key`` draws as
-        ``default_rng(key).integers(0, n, d)`` then ``integers(c)``, and calls ``integers``
-        exactly when numpy rejects one of those halves, as this plain recount finds.
-        Returns whether it did."""
-        words = np.random.default_rng(key).bit_generator.random_raw(d // 2 + 1).tolist()
-        halves = [word >> shift & 0xFFFFFFFF for word in words for shift in (0, 32)]
-        bounds = [n] * d + [c] if n > 1 else [c]  # below 1, numpy draws no bits
-        rejected = any(h * bound % 2**32 < 2**32 % bound for h, bound in zip(halves, bounds))
-        stream = CountingStream(rng)
-        hosts, rank = _agent_draws([stream], n, d)
-        fresh = np.random.default_rng(key)
-        assert hosts.tolist() == [fresh.integers(0, n, d).tolist()]
-        assert [int(r) for r in rank(np.array([c]))] == [fresh.integers(c)]
-        assert (stream.calls > 0) == rejected
-        return rejected
-
-    # bounds near 2^31 + 1 reject about half of all 32-bit halves, 3 * 2^30 + 1 a quarter
-    bounds = (st.integers(2**31 - 8, 2**31 + 8)
-              | st.sampled_from([1, 2, 3 * 2**30 + 1, 2**32 - 1, 2**32]))
-
-    @given(seed=st.integers(0, 2**96 - 1), tag=st.sampled_from([3, 4]),
-           slot=st.integers(0, 2**32 - 1), index=st.none() | st.integers(0, 2**16 - 1),
-           n=st.integers(1, 10**6) | bounds, d=st.integers(1, 64), c=st.integers(1, 1000) | bounds,
-           m=st.integers(0, 64))
-    def test_set_generators_draw_as_default_rng(self, seed, tag, slot, index, n, d, c, m):
-        key = (seed, tag, slot) if index is None else (seed, tag, slot, index)
-        states = _seed_states(list(key))
-        assert states.tolist() == [np.random.SeedSequence(key).generate_state(4, np.uint64).tolist()]
-        # the key second in a block of two, read as the engine reads it: a resolve key's
-        # row with a new axis, an agent key's row fancy-indexed out of its slot's rows
-        slots = np.array([slot ^ 1, slot])
-        block = (_seed_states([seed, tag, slots]) if index is None else _seed_states(
-            [seed, tag, slots[:, None], np.array([index ^ 1, index])]))[1]
-        rows = block[None] if index is None else block[[1]]
-        assert rows.tolist() == states.tolist()
-        for ours in (_pcg64_streams(states)[0], _pcg64_streams(rows)[0]):
-            fresh = np.random.default_rng(key)
-            assert ours.integers(0, n, d).tolist() == fresh.integers(0, n, d).tolist()
-            assert ours.integers(c) == fresh.integers(c)
-            assert ours.permutation(m).tolist() == fresh.permutation(m).tolist()
-        self.assert_agent_draws(_pcg64_streams(rows)[0], key, n, d, c)
-
-    @pytest.mark.parametrize("n, d, c", [
-        (2**31 + 1, 27, 1), (837, 27, 2**31 + 1), (1, 5, 2**31 + 1), (2**32, 1, 1)])
-    def test_rejected_halves_redraw_as_numpy(self, n, d, c):
-        """Host halves that reject (n = 2^31 + 1), rank halves that reject (a large c),
-        and a bound of 2^32, where Lemire's step never rejects."""
-        keys = [(0, 3, slot, 0) for slot in range(8)]
-        redrew = [self.assert_agent_draws(np.random.default_rng(key), key, n, d, c) for key in keys]
-        assert any(redrew) == (n < 2**32)
-
-    @staticmethod
-    def spy_hashes(monkeypatch):
-        """(first slot, width) of every hash of agent keys during a run."""
-        hashes = []
-
-        def spy(key):
-            if len(key) == 4:
-                hashes.append((int(key[2].min()), len(key[3])))
-            return _seed_states(key)
-
-        monkeypatch.setattr(apsr.engine, "_seed_states", spy)
-        return hashes
-
-    @staticmethod
-    def spy_decisions(sim, reference):
-        """Each non-empty decide call's targets with ``reference(view, slot, pairs)``'s."""
-        seen = []
-
-        def spy(view, slot, pairs):
-            pairs = list(pairs)
-            targets = Simulation.decide(sim, view, slot, pairs)
-            if pairs:
-                seen.append((targets, reference(view, slot, pairs)))
-            return targets
-
-        sim.decide = spy
-        return seen
-
-    @staticmethod
-    def assert_blocks_cross_and_regrow(hashes):
-        steps = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(hashes, hashes[1:])]
-        assert (_KEY_BLOCK, 0) in steps  # a block ran out: the next starts at its end
-        # a slot wider than its block re-hashed before the block ran out
-        assert any(step < _KEY_BLOCK and wider > 0 for step, wider in steps)
-        # and no other hash: a block is _KEY_BLOCK slots, as wide as the widest slot before it
-        assert all(step == _KEY_BLOCK and wider >= 0 or 0 < step < _KEY_BLOCK and wider > 0
-                   for step, wider in steps)
-
-    def test_apsr_blocks_match_plain_replay(self, monkeypatch):
-        hashes = self.spy_hashes(monkeypatch)
-        # few arrivals on 100 hosts: the controller's fleet, so the slots' widths, grow mid-block
-        sim = Simulation(small_nfv(hosts=100, lambda_a=1.5, seed=5))
-        seen = self.spy_decisions(sim, lambda view, slot, pairs: replay_sampling_decisions(
-            5, slot, pairs, view.available.tolist(), sim.controller.d))
+        sim.state.place = spy_place
         sim.run()
-        self.assert_blocks_cross_and_regrow(hashes)
-        assert len(seen) >= 64
-        for targets, replayed in seen:
-            assert targets == replayed
+        rng = np.random.default_rng((5, 4))  # a slot without requests draws no permutation
+        assert len(decided) == sim.metrics.slots
+        shuffled = 0
+        for targets, (slot, pairs) in decided:
+            order = rng.permutation(len(pairs)).tolist()
+            shuffled += order != sorted(order)
+            expected = [pairs[j][1].id for j in order if targets[j] is not None]
+            assert [rid for at, rid in tried if at == slot] == expected
+        assert shuffled >= 5
 
-    def test_random_blocks_match_per_key_streams(self, monkeypatch):
-        hashes = self.spy_hashes(monkeypatch)
-        sim = Simulation(small_nfv(replicas=16, policy="random", schedulers=40, seed=5))
-        seen = self.spy_decisions(sim, lambda view, slot, pairs: [
-            choose(sim.policy, view, r, np.random.default_rng((5, 3, slot, i))) for i, r in pairs])
-        sim.run()
-        self.assert_blocks_cross_and_regrow(hashes)
-        assert len(seen) == sim.metrics.slots >= 40
-        for targets, replayed in seen:
-            assert targets == replayed
-        for slot in range(sim.metrics.slots):  # the resolution order's stream, slot by slot
-            order = sim._streams(slot, None)[0].permutation(40)
-            assert order.tolist() == np.random.default_rng((5, 4, slot)).permutation(40).tolist()
+    @pytest.mark.parametrize("kind", ["ff", "wf", "adaptive", "distfromdiag", "random"])
+    def test_deterministic_kinds_build_no_decision_generator(self, kind, monkeypatch):
+        keys = []
+        default_rng = np.random.default_rng
 
-    def test_deterministic_kinds_hash_no_agent_keys(self, monkeypatch):
-        hashes = self.spy_hashes(monkeypatch)
-        sim = Simulation(small_nfv(replicas=8, policy="wf", schedulers=10, seed=5))
+        def spy(seed=None):
+            keys.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        sim = Simulation(small_nfv(replicas=2, policy=kind, schedulers=10, seed=5))
         sim.run()
-        assert sim.metrics.slots > _KEY_BLOCK + 8 and hashes == []
-        slot = _KEY_BLOCK + 8  # a later block's resolve keys
-        order = sim._streams(slot, None)[0].permutation(10)
-        assert order.tolist() == np.random.default_rng((5, 4, slot)).permutation(10).tolist()
+        slots = sorted(key[2] for key in keys if isinstance(key, tuple) and key[:2] == (5, 3))
+        # random, a drawing kind, shows that the spy sees one generator per slot
+        assert slots == ([] if kind != "random" else list(range(sim.metrics.slots)))
 
 
 class TestDeterministicDecisions:

@@ -15,8 +15,8 @@ keeps the command's stdout next to the files it writes:
   with a fixed fleet of s=10 under each of the seven snapshot policies; amazon
   (two host shapes) with s=10 under distfromdiag; google with s=10 under wf,
   ff, ffr and adaptive, which read the first fitting rows of the view; and
-  google with s=10 under random and wfr, which call `integers` on the
-  per-scheduler streams over every fitting host (random) or the (load, id)
+  google with s=10 under random and wfr, which call `integers` on each
+  slot's generator over every fitting host (random) or the (load, id)
   candidates (wfr) of 5,989 hosts;
 - `apsr simulate --seeds 4294967301,18446744073709551623` (2^32 + 5 and
   2^64 + 7, seeds of two and three 32-bit words) for nfv and for nfv with a
