@@ -47,12 +47,7 @@ class BallsBinsParams:
 
 def sigma(n: int, k: int, d: int) -> float:
     """Probability that one agent's d-sample hits at least one of k available bins."""
-    if n < 1:
-        raise ValueError(f"need at least one bin, got n={n}")
-    if not 0 <= k <= n:
-        raise ValueError(f"available bins k={k} outside [0, {n}]")
-    if d < 0:
-        raise ValueError(f"samples per agent must be >= 0, got d={d}")
+    BallsBinsParams(n, k, 1, d)  # checks n, k and d
     return 1.0 - ((n - k) / n) ** d
 
 
@@ -90,7 +85,7 @@ def max_paral(n: int, delta_hat: float, budget: int, k: int) -> tuple[int, int]:
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    sigma(n, k, 0)  # reuses the (n, k) range validation
+    BallsBinsParams(n, k, 1, budget)  # the first fleet tried, (1, budget): checks n and k
     if not 0.0 <= delta_hat <= 1.0:
         raise ValueError(f"delta_hat must be in [0, 1], got {delta_hat}")
     s = 1

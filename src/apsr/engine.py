@@ -5,14 +5,15 @@ Each slot proceeds in a fixed order: departures, arrivals, controller tick (on
 period boundaries), scheduler decisions, randomized resolution, metrics.  A
 slot's arrival count is drawn when the slot starts, so only ``max_slots`` bounds
 how many slots a run draws.  Every scheduler reads one shared view of the
-start-of-slot snapshot.  A deterministic kind (ff, wf, adaptive, distfromdiag)
-decides once per distinct demand per slot and draws nothing.  The random, ffr
-and wfr schedulers and the sampling agents draw from the slot's generator
-``default_rng((seed, 3, slot))`` in scheduler-index order, so a slot's
-decisions depend on its snapshot and its (index, request) pairs, never on the
-order of the pairs.  Sampling agent i takes row i of one (agents, d) draw of
-hosts, tests fits only at those hosts, and all agents then draw their ranks in
-one call.  Assignments resolve against the live state in a random order drawn
+start-of-slot snapshot: scheduler i takes the slot's i-th request, and a
+snapshot kind picks uniformly among the view's candidate hosts for its demand,
+which the view ranks once per slot.  The random, ffr and wfr schedulers and
+the sampling agents draw from the slot's generator
+``default_rng((seed, 3, slot))`` in scheduler order; the deterministic kinds
+(ff, wf, adaptive, distfromdiag) have one candidate and draw nothing.
+Sampling agent i takes row i of one (agents, d) draw of hosts, tests fits
+only at those hosts, and all agents then draw their ranks in one call.
+Assignments resolve against the live state in a random order drawn
 from the run's generator ``default_rng((seed, 4))``; one fails if its host can
 no longer take its request.  Declined requests are not re-queued: each request
 gets a single placement attempt, in trace order, so the pending queue is the
@@ -23,7 +24,6 @@ positions in the cluster state's swap-remove order of residents.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Iterable
 
 import numpy as np
 
@@ -88,7 +88,7 @@ class ExperimentConfig:
             ("replicas", self.replicas >= 1, ">= 1"),
             ("hosts", self.hosts is None or self.hosts >= 1, ">= 1"),
             ("seed", self.seed >= 0, ">= 0"),
-            ("max_slots", 1 <= self.max_slots <= 2**32, "in [1, 2^32]"),  # a slot is one word
+            ("max_slots", self.max_slots >= 1, ">= 1"),
             ("lambda_d", self.lambda_d is None or 0 < self.lambda_d <= MAX_RATE,
              f"in (0, {MAX_RATE:g}]"),
             ("lambda_a", 0 < self.lambda_a <= MAX_RATE, f"in (0, {MAX_RATE:g}]"),
@@ -255,45 +255,33 @@ class Simulation:
 
     # -- per-slot work -----------------------------------------------------
 
-    def decide(
-        self, view: HostView, slot: int, schedulers: Iterable[tuple[int, Request]]
-    ) -> list[int | None]:
-        """Target host (or None to decline) of each (scheduler index, request) pair.
+    def decide(self, view: HostView, slot: int, requests: list[Request]) -> list[int | None]:
+        """Target host (or None to decline) of each request; scheduler i takes ``requests[i]``.
 
         A decision reads only the slot's shared snapshot ``view`` and, for the
-        random, ffr and wfr kinds and the sampling agents, the slot's generator,
-        drawn from in scheduler-index order, so the order of the pairs changes no
-        target.  Deterministic kinds call ``choose`` once per distinct demand and
-        build no generator, the other snapshot kinds once per pair; sampling agents
-        draw d hosts each, test fits there alone, then all pick in one call to the
-        Monte-Carlo game's kernel.
+        random, ffr and wfr kinds and the sampling agents, the slot's generator.
+        A snapshot kind's scheduler picks with ``choose`` among the view's
+        candidates for its demand, in scheduler order; the deterministic kinds
+        build no generator.  Sampling agent i takes row i of one (agents, d) draw
+        of hosts and tests fits there alone, then all agents pick in one call to
+        the Monte-Carlo game's kernel.
         """
-        pairs = list(schedulers)
-        if self.policy.kind in DETERMINISTIC_KINDS:  # one view and one demand give one pick
-            demands = {r.flavor.demand: r for _, r in pairs}  # one request per demand
-            picks = {demand: choose(self.policy, view, r, None) for demand, r in demands.items()}
-            return [picks[r.flavor.demand] for _, r in pairs]
-        if not pairs:
+        if not requests:
             return []
-        rng = np.random.default_rng((self.config.seed, _SCHEDULER, slot))
-        if self.policy.kind != "apsr":
-            requests = dict(pairs)
-            picks = {i: choose(self.policy, view, requests[i], rng) for i in sorted(requests)}
-            return [picks[i] for i, _ in pairs]
-        n, index = self.state.n, [i for i, _ in pairs]
-        width = max(index) + 1
-        rows = rng.integers(0, n, size=(width, self.controller.d))[index]  # agent i: row i
-        demands = np.array([r.flavor.demand for _, r in pairs]).T[:, :, None]  # fit only at rows
+        kind = self.policy.kind
+        rng = None if kind in DETERMINISTIC_KINDS else np.random.default_rng(
+            (self.config.seed, _SCHEDULER, slot))
+        if kind != "apsr":
+            return [choose(self.policy, view, r, rng) for r in requests]
+        n = self.state.n
+        rows = rng.integers(0, n, size=(len(requests), self.controller.d))
+        demands = np.array([r.flavor.demand for r in requests]).T[:, :, None]  # fit only at rows
         fits = (view.available.T.take(rows, axis=1) >= demands).all(axis=0)
-        self.controller.record([r.flavor.id for _, r in pairs], fits.sum(axis=1).tolist())
-
-        def rank(distinct):  # bound 1 draws nothing: a count of 0 and an index not in pairs
-            bounds = np.ones(width, np.int64)
-            bounds[index] = np.maximum(distinct, 1)
-            return rng.integers(0, bounds)[index]
-
-        picks = pick_distinct(np.where(fits, rows, n), n, rank)  # host ids are below n
-        return [None if p == n else p for p in picks.tolist()]
+        self.controller.record([r.flavor.id for r in requests], fits.sum(axis=1).tolist())
+        # a count of 0 bounds its rank by 1, which draws nothing
+        picks = pick_distinct(np.where(fits, rows, n), n,
+                              lambda distinct: rng.integers(0, np.maximum(distinct, 1)))
+        return [None if p == n else p for p in picks.tolist()]  # host ids are below n
 
     def run_slot(self) -> None:
         state, config, slot = self.state, self.config, self.slot
@@ -313,7 +301,7 @@ class Simulation:
             view = HostView(state.available, state.capacity)
         else:  # the state keeps the snapshot kinds' fit masks and loads current
             view = HostView.of_state(state, self._demands)
-        targets = self.decide(view, slot, enumerate(requests))
+        targets = self.decide(view, slot, requests)
         queried = self.controller.d if self.policy.kind == "apsr" else state.n
 
         order = self._rng_resolve.permutation(active)

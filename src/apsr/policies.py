@@ -1,17 +1,13 @@
 """Placement policies behind a single interface: view + request -> host or decline.
 
 Seven full-snapshot heuristics (ff, wf, random, ffr, wfr, adaptive,
-distfromdiag).  In every view host i is row i, so each kind reads the fitting
-rows in id order: the deterministic kinds pick the least (key, id), the first
-fitting row of the least key; distfromdiag ranks hosts by one exact integer
-key, so exactly tied hosts go to the least id.  The sampling agent ("apsr") is
-configured here too, but it decides on a d-host sample, which the engine draws
-and resolves with the Monte-Carlo game's kernel (``ballsbins.pick_distinct``).
-Policies are stateless; all randomness flows through the generator passed to
-``choose``, and the deterministic kinds never touch it.  ffr and wfr pick
-uniformly among their first ``LAMBDA_RANK`` fitting hosts, by id and by
-(load, id); adaptive acts as wf while the mean host load is below
-``ADAPTIVE_THRESHOLD`` and as ff from there on.
+distfromdiag) share one rule: a view ranks each kind's candidate hosts for a
+demand once (``HostView.candidates``), and ``choose`` picks uniformly among
+them.  The sampling agent ("apsr") is configured here too, but it decides on a
+d-host sample, which the engine draws and resolves with the Monte-Carlo game's
+kernel (``ballsbins.pick_distinct``).  Policies are stateless; all randomness
+flows through the generator passed to ``choose``, and the deterministic kinds,
+with one candidate each, never touch it.
 """
 
 from __future__ import annotations
@@ -50,9 +46,9 @@ class HostView:
     """What a scheduler sees: host i is row i of the availability and capacity
     rows, in integer resource units.
 
-    A view is treated as read-only: host loads, the capacity scale and, for
-    ``choose``, the fit mask of each demand vector are computed on first use and
-    cached, so all decisions of a slot share one view of the slot-start snapshot.
+    A view is treated as read-only: host loads, the capacity scale, the fit mask
+    of each demand vector and each kind's candidates for it are computed on first
+    use and cached, so all decisions of a slot share one view of the slot-start snapshot.
     ``of_state`` fills them up front from what a ``ClusterState`` keeps, without
     copies, so such a view holds only until the state's next ``place`` or ``complete``.
     ``ids``, if given, must be ``arange(len(available))``; it is stored nowhere.
@@ -64,7 +60,7 @@ class HostView:
     _loads: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _scale: int | None = field(default=None, init=False, repr=False, compare=False)
     _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _adaptive: str | None = field(default=None, init=False, repr=False, compare=False)
+    _candidates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self, ids):
         if ids is not None and not np.array_equal(ids, np.arange(len(self.available))):
@@ -100,59 +96,65 @@ class HostView:
             self._masks[demand] = reduce(np.logical_and, [a >= w for a, w in columns])
         return self._masks[demand]
 
+    def candidates(self, kind: str, demand: tuple[int, ...]) -> list[int] | np.ndarray:
+        """The hosts ``kind`` picks uniformly among for ``demand``, ranked once per view:
+        none if no host fits, else the first fitting row (host i is row i) of the least
+        key for the ``DETERMINISTIC_KINDS`` (adaptive keys as wf below mean host load
+        ``ADAPTIVE_THRESHOLD``, then as ff), every fitting row for random, and the first
+        ``LAMBDA_RANK`` fitting rows by id for ffr and by (load, id) for wfr."""
+        hosts = self._candidates.get((kind, demand))
+        if hosts is None:
+            hosts = self._candidates[kind, demand] = self._rank(kind, demand)
+        return hosts
+
+    def _rank(self, kind: str, demand: tuple[int, ...]) -> list[int] | np.ndarray:
+        if kind not in FULL_SNAPSHOT_KINDS:
+            raise ConfigError(f"choose serves the full-snapshot kinds, not {kind!r}")
+        mask = self.fit_mask(demand)
+        if mask.size == 0:
+            raise ConfigError("empty host view")
+        first = mask.argmax()  # the first fitting row; row 0 when none fits
+        if not mask[first]:
+            return []
+        if kind == "adaptive":  # loads() also rejects zero-capacity coordinates
+            kind = "wf" if float(self.loads().mean()) < ADAPTIVE_THRESHOLD else "ff"
+        if kind == "ff":
+            return [int(first)]
+        if kind == "wf":  # unfit hosts get an infinite key; loads are finite
+            loads = self.loads()
+            row = loads.argmin()  # the first row of the least load
+            return [int(row if mask[row] else np.where(mask, loads, np.inf).argmin())]
+        rows = np.flatnonzero(mask)
+        if kind == "random":
+            return rows
+        if kind == "ffr":
+            return rows[:LAMBDA_RANK]
+        loads = self.loads()  # rejects zero-capacity coordinates for every kind below
+        if kind == "wfr":  # rows ascend, so a stable sort by load ranks them by (load, id)
+            return rows[loads[rows].argsort(kind="stable")][:LAMBDA_RANK]
+        # distfromdiag: prefer the host whose usage fractions after a hypothetical
+        # placement stay closest to the diagonal (equal use of every resource).
+        # With U = usage * scale, an integer, the key dim*sum(U^2) - sum(U)^2 is
+        # (dim * scale * distance)^2, so it ranks hosts exactly.  U <= scale bounds
+        # both terms by (dim * scale)^2; past int64 they are Python ints, which argmin compares.
+        dim, scale = len(demand), self.scale()
+        capacity = self.capacity[rows].astype(np.int64 if (dim * scale) ** 2 <= MAX_UNITS else object)
+        used = (capacity - self.available[rows] + demand) * (scale // capacity)
+        return [int(rows[(dim * (used * used).sum(axis=1) - used.sum(axis=1) ** 2).argmin()])]
+
 
 def choose(
     policy: PolicyConfig, view: HostView, request: Request, rng: np.random.Generator | None
 ) -> int | None:
     """Pick a host for the request from the view, or None to decline.
 
-    Serves the full-snapshot kinds; the engine decides for sampling agents
-    with ``ballsbins.pick_distinct``.  Declines happen exactly when no host in
-    the view can take the request's demand.  A returned host is always
-    available for the request in the view.  ``rng`` may be None for the
-    ``DETERMINISTIC_KINDS``.
+    One uniform draw among the view's candidates for the request's demand:
+    none declines, and a single one is returned without a draw, so ``rng`` may
+    be None for the ``DETERMINISTIC_KINDS``.  Serves the full-snapshot kinds; the
+    engine decides for sampling agents with ``ballsbins.pick_distinct``.
     """
-    if policy.kind not in FULL_SNAPSHOT_KINDS:
-        raise ConfigError(f"choose serves the full-snapshot kinds, not {policy.kind!r}")
-    demand = request.flavor.demand
-    mask = view.fit_mask(demand)
-
-    if mask.size == 0:
-        raise ConfigError("empty host view")
-    first = mask.argmax()  # the first fitting row; row 0 when none fits
-    if not mask[first]:
-        return None
-
-    kind = policy.kind
-    if kind == "adaptive":  # view.loads() also rejects zero-capacity coordinates
-        if view._adaptive is None:  # one mean-load test per view
-            view._adaptive = "wf" if float(view.loads().mean()) < ADAPTIVE_THRESHOLD else "ff"
-        kind = view._adaptive
-    # host i is row i, so the least (key, id) of fitting hosts is the first fitting row by key
-    if kind == "ff":
-        return int(first)
-    if kind == "wf":  # unfit hosts get an infinite key; loads are finite
-        loads = view.loads()
-        row = loads.argmin()  # the first row of the least load
-        return int(row if mask[row] else np.where(mask, loads, np.inf).argmin())
-    rows = np.flatnonzero(mask)
-    if kind == "random":
-        return int(rows[rng.integers(rows.size)])
-    if kind == "ffr":
-        candidates = rows[:LAMBDA_RANK]
-        return int(candidates[rng.integers(candidates.size)])
-
-    loads = view.loads()  # rejects zero-capacity coordinates for every kind below
-    if kind == "wfr":
-        # rows ascend, so a stable sort by load ranks them by (load, id); pick among the top
-        candidates = rows[loads[rows].argsort(kind="stable")][:LAMBDA_RANK]
-        return int(candidates[rng.integers(candidates.size)])
-    # distfromdiag: prefer the host whose usage fractions after a hypothetical
-    # placement stay closest to the diagonal (equal use of every resource).
-    # With U = usage * scale, an integer, the key dim*sum(U^2) - sum(U)^2 is
-    # (dim * scale * distance)^2, so it ranks hosts exactly.  U <= scale bounds
-    # both terms by (dim * scale)^2; past int64 they are Python ints, which argmin compares.
-    dim, scale = len(demand), view.scale()
-    capacity = view.capacity[rows].astype(np.int64 if (dim * scale) ** 2 <= MAX_UNITS else object)
-    used = (capacity - view.available[rows] + demand) * (scale // capacity)
-    return int(rows[(dim * (used * used).sum(axis=1) - used.sum(axis=1) ** 2).argmin()])
+    hosts = view.candidates(policy.kind, request.flavor.demand)
+    count = len(hosts)
+    if count > 1:
+        return int(hosts[rng.integers(count)])
+    return int(hosts[0]) if count else None

@@ -122,25 +122,23 @@ def replay_balls_and_bins(n: int, k: int, s: int, d: int, trials: int, seed, chu
     return ph_total, happy_total, happy_sq_total, counts
 
 
-def replay_sampling_decisions(seed: int, slot: int, pairs, available, d: int):
-    """The targets of one slot's sampling agents, by a plain loop over scheduler indices.
+def replay_sampling_decisions(seed: int, slot: int, requests, available, d: int):
+    """The targets of one slot's sampling agents, by a plain loop over the agents.
 
     The slot draws from ``default_rng((seed, 3, slot))``, 3 being the engine's
-    scheduler sub-stream tag.  Every index from 0 to the highest in ``pairs``
-    (scheduler index, request), in order and whether or not it holds a request,
-    draws ``integers(0, n, d)`` hosts.  Then every index, in order, draws
+    scheduler sub-stream tag.  Agent i takes ``requests[i]``.  Every agent in
+    order draws ``integers(0, n, d)`` hosts.  Then every agent, in order, draws
     ``integers(max(count, 1))``, count being the number of its sorted distinct
-    sampled hosts whose ``available`` row passes ``core.fits`` (0 without a
-    request).  An agent takes its host of that rank, or declines (None) when
-    none fits.
+    sampled hosts whose ``available`` row passes ``core.fits``.  An agent takes
+    its host of that rank, or declines (None) when none fits.
     """
-    n, requests = len(available), dict(pairs)
+    n = len(available)
     rng = np.random.default_rng((seed, 3, slot))
-    samples = [rng.integers(0, n, size=d).tolist() for _ in range(max(requests) + 1)]
-    seen = [sorted({h for h in sample if fits(requests[i].flavor.demand, available[h])})
-            if i in requests else [] for i, sample in enumerate(samples)]
+    samples = [rng.integers(0, n, size=d).tolist() for _ in requests]
+    seen = [sorted({h for h in sample if fits(request.flavor.demand, available[h])})
+            for request, sample in zip(requests, samples)]
     ranks = [int(rng.integers(max(len(hosts), 1))) for hosts in seen]
-    return [seen[i][ranks[i]] if seen[i] else None for i, _ in pairs]
+    return [hosts[rank] if hosts else None for hosts, rank in zip(seen, ranks)]
 
 
 def reference_choice(kind, ids, available, capacity, demand):

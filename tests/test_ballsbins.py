@@ -43,9 +43,14 @@ class TestSigma:
     def test_zero_samples_never_hit(self):
         assert sigma(10, 10, 0) == 0.0
 
-    @pytest.mark.parametrize("n,k,d", [(0, 0, 1), (10, 11, 1), (10, -1, 1), (10, 5, -1)])
-    def test_range_validation(self, n, k, d):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("n,k,d,message", [
+        (0, 0, 1, "^need at least one bin, got n=0$"),
+        (10, 11, 1, r"^available bins k=11 outside \[0, 10\]$"),
+        (10, -1, 1, r"^available bins k=-1 outside \[0, 10\]$"),
+        (10, 5, -1, "^samples per agent must be >= 0, got d=-1$"),
+    ])
+    def test_range_validation(self, n, k, d, message):
+        with pytest.raises(ValueError, match=message):
             sigma(n, k, d)
 
 
@@ -102,6 +107,17 @@ class TestSatisfySla:
 class TestMaxParal:
     def test_no_available_bins_collapses_to_one_scheduler(self):
         assert max_paral(100, 0.05, 100, 0) == (1, 100)
+
+    @pytest.mark.parametrize("n,delta_hat,budget,k,message", [
+        (0, 0.05, 10, 0, "^need at least one bin, got n=0$"),
+        (10, 0.05, 10, 11, r"^available bins k=11 outside \[0, 10\]$"),
+        (10, 0.05, 10, -1, r"^available bins k=-1 outside \[0, 10\]$"),
+        (10, 0.05, 0, 5, "^budget must be >= 1, got 0$"),
+        (10, 1.5, 10, 5, r"^delta_hat must be in \[0, 1\], got 1.5$"),
+    ])
+    def test_range_validation(self, n, delta_hat, budget, k, message):
+        with pytest.raises(ValueError, match=message):
+            max_paral(n, delta_hat, budget, k)
 
     def test_vacuous_target_caps_at_budget(self):
         assert max_paral(100, 1.0, 100, 1) == (100, 1)

@@ -137,6 +137,16 @@ class TestSimulate:
         assert metrics["truncated"] is True
         assert metrics["attempts"] == 0
 
+    def test_max_slots_past_one_32_bit_word_accepted(self, tmp_path, small_config):
+        """A slot's generator takes a slot of any size, so max_slots has no upper bound."""
+        path = tmp_path / "long.cfg"
+        path.write_text(small_config.read_text() + "max_slots = 4294967297\n")  # 2^32 + 1
+        out = tmp_path / "long"
+        assert run_cli("simulate", path, "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["max_slots"] == 2**32 + 1
+        assert manifest["runs"][0]["metrics"]["truncated"] is False
+
     def test_unknown_dataset_is_config_error(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("dataset = azure\npolicy = ff\ns = 1\n")
@@ -172,7 +182,6 @@ class TestSimulate:
             ("inf-departures", "preset = nfv-mmpp\nlambda_d = inf\n"),
             ("zero-capacity", f"dataset = {zero_capacity}\nhosts = 3\npolicy = wf\ns = 1\n"),
             ("class-count", f"dataset = {negative_class}\nhosts = 4\npolicy = ff\ns = 1\n"),
-            ("max-slots", "preset = nfv\nmax_slots = 4294967297\n"),  # 2^32 + 1
         ]:
             path = tmp_path / f"{name}.cfg"
             path.write_text(text)

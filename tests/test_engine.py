@@ -21,6 +21,7 @@ from apsr import (
     max_paral,
     run_experiment,
 )
+from apsr.policies import FULL_SNAPSHOT_KINDS
 from apsr.workload import MAX_RATE
 from oracles import replay_sampling_decisions
 
@@ -92,15 +93,16 @@ class TestConfigValidation:
         ("period", 0), ("lambda_a", 0.0), ("delta_hat", float("nan")),
         ("lambda_a", float("inf")), ("lambda_a", 1e300), ("lambda_a", 9.3e18),
         ("lambda_a", float("nan")), ("lambda_d", float("inf")), ("lambda_d", 9.3e18),
-        ("lambda_d", 0.0), ("seed", -1), ("max_slots", 0), ("max_slots", 2**32 + 1),
+        ("lambda_d", 0.0), ("seed", -1), ("max_slots", 0),
     ])
     def test_out_of_range_numbers_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"^{key} must be"):
             make_config("nfv-mmpp", **{key: value})
 
-    def test_max_slots_reaches_one_slot_word(self):
-        """A slot stays one uint32 word of a stream key: slots 0 to 2^32 - 1."""
-        assert make_config("nfv", max_slots=2**32).max_slots == 2**32
+    def test_max_slots_has_no_upper_bound(self):
+        """``default_rng((seed, 3, slot))`` takes a slot of any size."""
+        for max_slots in (2**32, 2**32 + 1, 2**64 + 7):
+            assert make_config("nfv", max_slots=max_slots).max_slots == max_slots
 
     def test_rates_reach_the_poisson_sampler_limit(self):
         """Both rates may be as high as numpy's Poisson sampler takes."""
@@ -246,53 +248,16 @@ class TestDeterminism:
         assert a.series.utilization != b.series.utilization
 
 
-class TestSnapshotCausality:
-    @staticmethod
-    def forward_and_backward(sim, count):
-        """The slot's decisions evaluated in scheduler order and in reverse,
-        each against its own fresh view of the same slot-start snapshot."""
-        pairs = list(enumerate(sim.trace[sim._attempted:sim._arrived][:count]))
-        assert len(pairs) >= 2
-
-        def decide(order):
-            view = HostView(sim.state.available.copy(), sim.state.capacity)
-            return sim.decide(view, sim.slot, order)
-
-        forward = decide(pairs)
-        if sim.controller is not None:
-            sim.controller.queried.clear()
-            sim.controller.found.clear()
-        return forward, decide(pairs[::-1])[::-1]
-
-    def test_decisions_invariant_to_evaluation_order(self):
-        """A slot's decisions depend only on the slot-start snapshot and its
-        (index, request) pairs, drawn in index order, so any order of the pairs agrees."""
-        sim = Simulation(small_nfv(policy="random", schedulers=8, seed=13))
-        # advance a few slots to reach an interesting state
-        for _ in range(6):
-            sim.run_slot()
-        forward, backward = self.forward_and_backward(sim, 8)
-        assert forward == backward
-
-    def test_apsr_decisions_order_invariant_too(self):
-        sim = Simulation(small_nfv(seed=21))
-        for _ in range(4):
-            sim.run_slot()
-        forward, backward = self.forward_and_backward(sim, sim.controller.s)
-        assert forward == backward
-
-
 class TestSamplingDecisions:
     def test_decide_matches_plain_replay_of_the_slot_generator(self):
         """Every apsr decision equals a plain replay of the slot's generator: each
-        index's d-sample in turn, then each index's integers(distinct) in turn."""
+        agent's d-sample in turn, then each agent's integers(distinct) in turn."""
         sim = Simulation(small_nfv(hosts=20, seed=5))  # too few hosts: declines too
         seen = []
 
-        def spy(view, slot, pairs):
-            pairs = list(pairs)
-            targets = Simulation.decide(sim, view, slot, pairs)
-            seen.append((view.available.tolist(), slot, pairs, sim.controller.d, targets))
+        def spy(view, slot, requests):
+            targets = Simulation.decide(sim, view, slot, requests)
+            seen.append((view.available.tolist(), slot, requests, sim.controller.d, targets))
             return targets
 
         sim.decide = spy
@@ -300,50 +265,35 @@ class TestSamplingDecisions:
         checked = [entry for entry in seen if entry[2]]
         assert len(checked) >= 20
         assert any(None in targets for *_, targets in checked)
-        assert any(len(pairs) >= 2 for _, _, pairs, _, _ in checked)
-        for available, slot, pairs, d, targets in checked:
-            assert targets == replay_sampling_decisions(5, slot, pairs, available, d)
-
-    @pytest.mark.parametrize("policy", [dict(), dict(policy="random", schedulers=8)])
-    def test_gapped_and_reversed_indices_decide_as_the_replay(self, policy):
-        """Sampling agents draw a row for every index up to the highest, and the
-        random kinds skip missing indices; either way the pairs' order changes nothing."""
-        sim = Simulation(small_nfv(hosts=20, seed=7, **policy))
-        for _ in range(5):
-            sim.run_slot()
-        pending = sim.trace[sim._attempted:]
-        for indices in ([0, 2, 5, 6], [7, 3, 1], [4]):
-            pairs = list(zip(indices, pending))
-            view = HostView(sim.state.available.copy(), sim.state.capacity)
-            targets = sim.decide(view, sim.slot, pairs)
-            if sim.controller is None:
-                assert targets == replay_snapshot_decisions(sim, view, sim.slot, pairs)
-            else:
-                assert targets == replay_sampling_decisions(
-                    7, sim.slot, pairs, view.available.tolist(), sim.controller.d)
-            assert sim.decide(view, sim.slot, pairs[::-1]) == targets[::-1]
+        assert any(len(requests) >= 2 for _, _, requests, _, _ in checked)
+        for available, slot, requests, d, targets in checked:
+            assert targets == replay_sampling_decisions(5, slot, requests, available, d)
 
 
 def spy_decisions(sim, reference):
-    """Each non-empty decide call's targets with ``reference(view, slot, pairs)``'s."""
+    """Each non-empty decide call's targets with ``reference(view, slot, requests)``'s."""
     seen = []
 
-    def spy(view, slot, pairs):
-        pairs = list(pairs)
-        targets = Simulation.decide(sim, view, slot, pairs)
-        if pairs:
-            seen.append((targets, reference(view, slot, pairs)))
+    def spy(view, slot, requests):
+        targets = Simulation.decide(sim, view, slot, requests)
+        if requests:
+            seen.append((targets, reference(view, slot, requests)))
         return targets
 
     sim.decide = spy
     return seen
 
 
-def replay_snapshot_decisions(sim, view, slot, pairs):
-    """``choose`` for each pair in ascending scheduler index on ``default_rng((seed, 3, slot))``."""
+def fresh_view(sim):
+    """A view of the state's current snapshot that shares no cache with the engine's."""
+    return HostView(sim.state.available.copy(), sim.state.capacity)
+
+
+def replay_snapshot_decisions(sim, slot, requests):
+    """``choose`` for each request in scheduler order on ``default_rng((seed, 3, slot))``,
+    each on a fresh view."""
     rng = np.random.default_rng((sim.config.seed, 3, slot))
-    picks = {i: choose(sim.policy, view, r, rng) for i, r in sorted(pairs, key=lambda p: p[0])}
-    return [picks[i] for i, _ in pairs]
+    return [choose(sim.policy, fresh_view(sim), r, rng) for r in requests]
 
 
 class TestSlotGenerators:
@@ -351,10 +301,10 @@ class TestSlotGenerators:
     resolution orders from one ``default_rng((seed, 4))``."""
 
     @pytest.mark.parametrize("kind", ["random", "ffr", "wfr"])
-    def test_snapshot_kinds_replay_choose_in_index_order(self, kind):
+    def test_snapshot_kinds_replay_choose_in_scheduler_order(self, kind):
         sim = Simulation(small_nfv(replicas=4, policy=kind, schedulers=10, seed=5))
-        seen = spy_decisions(sim, lambda view, slot, pairs: replay_snapshot_decisions(
-            sim, view, slot, pairs))
+        seen = spy_decisions(sim, lambda view, slot, requests: replay_snapshot_decisions(
+            sim, slot, requests))
         sim.run()
         assert len(seen) == sim.metrics.slots >= 10
         assert sum(len(targets) for targets, _ in seen) == len(sim.trace)
@@ -367,7 +317,7 @@ class TestSlotGenerators:
         """Each slot's placements are tried in ``default_rng((seed, 4)).permutation(active)``
         order, one permutation per slot from the one generator."""
         sim = Simulation(small_nfv(replicas=4, seed=5, **policy))
-        decided = spy_decisions(sim, lambda view, slot, pairs: (slot, pairs))
+        decided = spy_decisions(sim, lambda view, slot, requests: (slot, requests))
         tried, place = [], sim.state.place
 
         def spy_place(request, host):
@@ -379,10 +329,10 @@ class TestSlotGenerators:
         rng = np.random.default_rng((5, 4))  # a slot without requests draws no permutation
         assert len(decided) == sim.metrics.slots
         shuffled = 0
-        for targets, (slot, pairs) in decided:
-            order = rng.permutation(len(pairs)).tolist()
+        for targets, (slot, requests) in decided:
+            order = rng.permutation(len(requests)).tolist()
             shuffled += order != sorted(order)
-            expected = [pairs[j][1].id for j in order if targets[j] is not None]
+            expected = [requests[j].id for j in order if targets[j] is not None]
             assert [rid for at, rid in tried if at == slot] == expected
         assert shuffled >= 5
 
@@ -403,50 +353,31 @@ class TestSlotGenerators:
         assert slots == ([] if kind != "random" else list(range(sim.metrics.slots)))
 
 
-class TestDeterministicDecisions:
-    """A deterministic kind picks one host per demand from one view, so the
-    engine calls ``choose`` once per distinct demand in the slot."""
+class TestCandidateCache:
+    """A slot's view ranks each (kind, demand) once, and each request's pick
+    equals a pick on a fresh view of the same snapshot."""
 
-    @staticmethod
-    def mid_run(preset, kind):
-        """A slot-start snapshot 100 slots in, with its slot's ten pairs."""
+    @pytest.mark.parametrize("preset", ["nfv", "amazon"])
+    @pytest.mark.parametrize("kind", FULL_SNAPSHOT_KINDS)
+    def test_each_demand_ranked_once_and_picked_as_on_a_fresh_view(self, monkeypatch, preset,
+                                                                    kind):
         sim = Simulation(make_config(preset, policy=kind, schedulers=10, seed=0))
-        for _ in range(100):
+        for _ in range(100):  # a slot-start snapshot 100 slots in
             sim.run_slot()
-        pairs = list(enumerate(sim.trace[sim._attempted:sim._arrived][:10]))
-        demands = [r.flavor.demand for _, r in pairs]
+        requests = sim.trace[sim._attempted:sim._arrived][:10]
+        demands = [r.flavor.demand for r in requests]
         assert len(set(demands)) < len(demands)  # some demand repeats in the slot
-        return sim, pairs, len(set(demands))
+        ranked, rank = [], HostView._rank
 
-    @staticmethod
-    def fresh_view(sim):
-        return HostView(sim.state.available.copy(), sim.state.capacity)
+        def counting(view, kind, demand):
+            ranked.append((kind, demand))
+            return rank(view, kind, demand)
 
-    @pytest.mark.parametrize("preset", ["nfv", "amazon"])
-    @pytest.mark.parametrize("kind", ["ff", "wf", "adaptive", "distfromdiag"])
-    def test_one_pick_per_demand_equals_one_call_per_request(self, preset, kind):
-        sim, pairs, _ = self.mid_run(preset, kind)
-        targets = sim.decide(self.fresh_view(sim), sim.slot, pairs)
-        view = self.fresh_view(sim)
-        assert targets == [choose(sim.policy, view, r, None) for _, r in pairs]
+        monkeypatch.setattr(HostView, "_rank", counting)
+        targets = sim.decide(fresh_view(sim), sim.slot, requests)
+        assert sorted(ranked) == sorted({(kind, demand) for demand in demands})
+        assert targets == replay_snapshot_decisions(sim, sim.slot, requests)
         assert any(t is not None for t in targets)
-
-    @pytest.mark.parametrize("preset", ["nfv", "amazon"])
-    @pytest.mark.parametrize("kind, per_demand", [
-        ("ff", True), ("wf", True), ("adaptive", True), ("distfromdiag", True),
-        ("random", False), ("ffr", False), ("wfr", False),
-    ])
-    def test_choose_calls_per_slot(self, monkeypatch, preset, kind, per_demand):
-        sim, pairs, distinct = self.mid_run(preset, kind)
-        calls = []
-
-        def counting(*args):
-            calls.append(args[2].flavor.demand)
-            return choose(*args)
-
-        monkeypatch.setattr(apsr.engine, "choose", counting)
-        sim.decide(self.fresh_view(sim), sim.slot, pairs)
-        assert len(calls) == (distinct if per_demand else len(pairs))
 
 
 class TestRunShapes:

@@ -271,7 +271,7 @@ class TestFirstFittingRow:
             for index, host in enumerate(hosts):  # the kind's candidates, in order
                 draw = FixedDraw(index)
                 assert choose(PolicyConfig(kind), view, req(*demand), draw) == host, kind
-                assert draw.sizes == [len(hosts)], kind
+                assert draw.sizes == ([len(hosts)] if len(hosts) > 1 else []), kind  # one: no draw
 
     @given(placed_states())
     @example((placed([(16, 16)] * 7, []), (4, 4)))  # exact ties at load 0
@@ -363,8 +363,7 @@ class TestSamplingAgent:
         assert pick_distinct(np.array([[6, 6, 6]]), 6, np.zeros_like).tolist() == [6]
         sim = sampling_sim(d=5)
         full = HostView(np.zeros_like(sim.state.capacity), sim.state.capacity)
-        pairs = list(enumerate(sim.trace[:6]))
-        assert sim.decide(full, 0, pairs) == [None] * 6
+        assert sim.decide(full, 0, sim.trace[:6]) == [None] * 6
         assert sum(sim.controller.queried.values()) == 5 * 6  # d hosts per decision
         assert set(sim.controller.found.values()) == {0}
 
@@ -386,7 +385,7 @@ class TestSamplingAgent:
         available = sim.state.capacity.copy()
         available[::2] = 0  # even hosts full
         view = HostView(available, sim.state.capacity)
-        targets = sim.decide(view, 0, list(enumerate(sim.trace[:200])))
+        targets = sim.decide(view, 0, sim.trace[:200])
         assert {t % 2 for t in targets if t is not None} == {1}
         assert None in targets  # some samples held only even hosts
 
@@ -399,7 +398,7 @@ class TestSamplingAgent:
         available[k:] = 0
         view = HostView(available, sim.state.capacity)
         request = sim.trace[0]
-        targets = sim.decide(view, 0, [(i, request) for i in range(trials)])
+        targets = sim.decide(view, 0, [request] * trials)
         p_decline = 1.0 - sigma(n, k, d)
         se = np.sqrt(p_decline * (1 - p_decline) / trials)
         assert abs(targets.count(None) / trials - p_decline) <= 3 * se

@@ -45,7 +45,7 @@ import tempfile
 from pathlib import Path
 
 SEEDS = "0,1,2"
-BIG_SEEDS = "4294967301,18446744073709551623"  # stream keys longer than the 4-word pool
+BIG_SEEDS = "4294967301,18446744073709551623"  # seeds of 2 and 3 words in default_rng keys
 OUT = "{out}"  # replaced by the case's output directory
 CONFIGS = {
     "nfv": "nfv",
