@@ -248,6 +248,38 @@ class TestDeterminism:
         assert a.series.utilization != b.series.utilization
 
 
+class TestSnapshotCausality:
+    @staticmethod
+    def decide_before_and_after_placing(sim, count):
+        """The slot's decisions on its slot-start snapshot, made before and again
+        after those decisions were placed into the state."""
+        requests = sim.trace[sim._attempted:sim._arrived][:count]
+        assert len(requests) >= 2
+        snapshot = sim.state.available.copy()
+        before = sim.decide(HostView(snapshot.copy(), sim.state.capacity), sim.slot, requests)
+        placed = sum(sim.state.place(r, host) for r, host in zip(requests, before)
+                     if host is not None)
+        assert placed >= 1 and not np.array_equal(sim.state.available, snapshot)
+        after = sim.decide(HostView(snapshot, sim.state.capacity), sim.slot, requests)
+        return before, after
+
+    def test_decisions_read_only_the_slot_start_snapshot(self):
+        """A slot's decisions depend only on the view it is given, the slot and
+        its requests, never on the state the slot's placements change."""
+        sim = Simulation(small_nfv(policy="random", schedulers=8, seed=13))
+        for _ in range(6):  # advance a few slots to reach an interesting state
+            sim.run_slot()
+        before, after = self.decide_before_and_after_placing(sim, 8)
+        assert before == after
+
+    def test_apsr_decisions_read_only_the_slot_start_snapshot_too(self):
+        sim = Simulation(small_nfv(seed=21))
+        for _ in range(4):
+            sim.run_slot()
+        before, after = self.decide_before_and_after_placing(sim, sim.controller.s)
+        assert before == after
+
+
 class TestSamplingDecisions:
     def test_decide_matches_plain_replay_of_the_slot_generator(self):
         """Every apsr decision equals a plain replay of the slot's generator: each
@@ -268,6 +300,22 @@ class TestSamplingDecisions:
         assert any(len(requests) >= 2 for _, _, requests, _, _ in checked)
         for available, slot, requests, d, targets in checked:
             assert targets == replay_sampling_decisions(5, slot, requests, available, d)
+
+    @pytest.mark.parametrize("policy", [dict(), dict(policy="random", schedulers=8)])
+    def test_any_request_list_decides_as_the_replay(self, policy):
+        """Scheduler i takes ``requests[i]`` for any list: a prefix, the same
+        prefix reversed and a single request each decide as the plain replays."""
+        sim = Simulation(small_nfv(hosts=20, seed=7, **policy))
+        for _ in range(5):
+            sim.run_slot()
+        pending = sim.trace[sim._attempted:]
+        for requests in (pending[:4], pending[:4][::-1], pending[2:3]):
+            targets = sim.decide(fresh_view(sim), sim.slot, requests)
+            if sim.controller is None:
+                assert targets == replay_snapshot_decisions(sim, sim.slot, requests)
+            else:
+                assert targets == replay_sampling_decisions(
+                    7, sim.slot, requests, sim.state.available.tolist(), sim.controller.d)
 
 
 def spy_decisions(sim, reference):
@@ -378,6 +426,25 @@ class TestCandidateCache:
         assert sorted(ranked) == sorted({(kind, demand) for demand in demands})
         assert targets == replay_snapshot_decisions(sim, sim.slot, requests)
         assert any(t is not None for t in targets)
+
+    @pytest.mark.parametrize("kind", FULL_SNAPSHOT_KINDS)
+    def test_choose_calls_per_slot(self, monkeypatch, kind):
+        """``decide`` calls the module-level ``apsr.engine.choose`` once per request,
+        in scheduler order, which is the call a traced run wraps and counts."""
+        sim = Simulation(make_config("nfv", policy=kind, schedulers=10, seed=0))
+        for _ in range(100):
+            sim.run_slot()
+        requests = sim.trace[sim._attempted:sim._arrived][:10]
+        assert len(requests) == 10
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return choose(*args)
+
+        monkeypatch.setattr(apsr.engine, "choose", counting)
+        sim.decide(fresh_view(sim), sim.slot, requests)
+        assert calls == requests
 
 
 class TestRunShapes:
