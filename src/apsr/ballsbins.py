@@ -11,10 +11,12 @@ identity rather than a bound; the simulator's sampling agents pick with the
 Monte-Carlo game's own kernel, ``pick_distinct``, which treats every value
 >= its sentinel as unavailable: the game draws bins 0..n-1 with sentinel k.
 Below n = 2**31 the game draws int32, since numpy bounds int32 and int64 draws
-below 2**32 with one 32-bit Lemire step: the same values and generator state,
-at half the memory to sort and gather.  ``k == 0`` and ``d == 0``
-yield zero probability and zero expected winners instead of errors, so
-callers degrade gracefully at full utilization.
+below 2**32 with one 32-bit Lemire step: the same values and generator state.
+It draws a chunk of trials in blocks, sorts each block's rows while it is in
+cache and keeps them in one buffer per game, of int16 while n <= 32767, so the
+working set is that buffer plus one block's temporaries.  ``k == 0`` and
+``d == 0`` yield zero probability and zero expected winners instead of errors,
+so callers degrade gracefully at full utilization.
 """
 
 from __future__ import annotations
@@ -123,17 +125,16 @@ class SimulationResult:
 def pick_distinct(draws: np.ndarray, sentinel: int, rank) -> np.ndarray:
     """Each row's pick among the distinct available values it drew.
 
-    ``draws`` is an (..., d) integer array whose unavailable entries are any
-    value >= ``sentinel``, a value above every available one; it is sorted in
-    place along its last axis.  ``rank(distinct)`` gets the (...) array of each
-    row's distinct available count and returns each row's rank in
+    ``draws`` is an (..., d) integer array, sorted along its last axis, whose
+    unavailable entries are any value >= ``sentinel``, a value above every
+    available one; it is not changed.  ``rank(distinct)`` gets the (...) array
+    of each row's distinct available count and returns each row's rank in
     [0, distinct) (read only where distinct > 0).  Returns the (...) array of
     picks, of ``draws``' dtype: the available value of that rank in ascending
     order, or ``sentinel`` where a row drew nothing available.  Uniform ranks
     give the sampling agent's rule, a uniform pick among the distinct available
     bins (hosts) it saw; the game and the engine both pick through here.
     """
-    draws.sort(axis=-1)
     shape, d = draws.shape[:-1], draws.shape[-1]
     flat = draws.reshape(-1)
     first = flat < sentinel
@@ -161,9 +162,12 @@ _BLOCK_DRAWS = 2**18
 def simulate_balls_and_bins(params: BallsBinsParams, trials: int, seed) -> SimulationResult:
     """Play the sampling game ``trials`` times with a seeded generator.
 
-    Vectorized over ``CHUNK`` trials at a time: each agent picks through
-    ``pick_distinct`` with a uniform rank per agent.  A bin selected by one or
-    more potentially happy agents produces exactly one happy agent.
+    Vectorized over ``CHUNK`` trials at a time: the chunk's bins are drawn in
+    blocks of about ``_BLOCK_DRAWS``, each sorted along its rows and stored
+    into one buffer per game, which gives the values and generator state of
+    one chunk-sized draw.  Then each block picks through ``pick_distinct``
+    with a uniform rank per agent.  A bin selected by one or more potentially
+    happy agents produces exactly one happy agent.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -174,19 +178,25 @@ def simulate_balls_and_bins(params: BallsBinsParams, trials: int, seed) -> Simul
 
     rng = np.random.default_rng(seed)
     dtype = np.int32 if n < 2**31 else np.int64  # the int64 draw's values; k <= n fits too
-    block = max(1, _BLOCK_DRAWS // (s * d))  # trials per pick_distinct call
+    # int16 holds every bin below n and the sentinel k <= n
+    rows = np.empty((min(CHUNK, trials), s, d), np.int16 if n <= 2**15 - 1 else dtype)
+    block = max(1, _BLOCK_DRAWS // (s * d))  # trials per draw and per pick_distinct call
     ph_total = 0
     happy_total = 0
     happy_sq_total = 0
     done = 0
     while done < trials:
         m = min(CHUNK, trials - done)
-        vals = rng.integers(0, n, size=(m, s, d), dtype=dtype)
-        selected = np.empty((m, s), dtype)
-        for lo in range(0, m, block):  # blocks in trial order draw the chunk's uniforms in order
+        vals = rows[:m]
+        for lo in range(0, m, block):  # the chunk's bins in trial order, then its uniforms
+            drawn = rng.integers(0, n, size=vals[lo:lo + block].shape, dtype=dtype)
+            drawn.sort(axis=-1)
+            vals[lo:lo + block] = drawn
+        del drawn
+        selected = np.empty((m, s), rows.dtype)
+        for lo in range(0, m, block):
             selected[lo:lo + block] = pick_distinct(
                 vals[lo:lo + block], k, lambda c: (rng.random(c.shape) * c).astype(np.int64))
-        del vals
         # a trial's winners are the distinct available bins its agents selected
         selected.sort(axis=1)
         won = selected < k

@@ -74,13 +74,13 @@ class Flavor:
             raise ModelError(f"flavor {self.id!r} has an all-zero demand vector")
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     id: int
     flavor: Flavor
 
 
-@dataclass
+@dataclass(slots=True)
 class Placement:
     host_id: int
     demand: ResourceVector

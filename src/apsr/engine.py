@@ -264,7 +264,7 @@ class Simulation:
         candidates for its demand, in scheduler order; the deterministic kinds
         build no generator.  Sampling agent i takes row i of one (agents, d) draw
         of hosts and tests fits there alone, then all agents pick in one call to
-        the Monte-Carlo game's kernel.
+        the Monte-Carlo game's kernel, on their rows sorted with misfits as n.
         """
         if not requests:
             return []
@@ -279,7 +279,7 @@ class Simulation:
         fits = (view.available.T.take(rows, axis=1) >= demands).all(axis=0)
         self.controller.record([r.flavor.id for r in requests], fits.sum(axis=1).tolist())
         # a count of 0 bounds its rank by 1, which draws nothing
-        picks = pick_distinct(np.where(fits, rows, n), n,
+        picks = pick_distinct(np.sort(np.where(fits, rows, n)), n,
                               lambda distinct: rng.integers(0, np.maximum(distinct, 1)))
         return [None if p == n else p for p in picks.tolist()]  # host ids are below n
 

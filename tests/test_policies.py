@@ -340,9 +340,11 @@ class TestRandomizedPolicies:
 
 
 def pick(draws, sentinel, generator):
-    """Kernel picks with uniform ranks drawn from ``generator``."""
+    """Kernel picks on ``draws`` sorted along its rows, with uniform ranks
+    drawn from ``generator``."""
     return pick_distinct(
-        draws, sentinel, lambda distinct: (generator.random(distinct.shape) * distinct).astype(int)
+        np.sort(draws), sentinel,
+        lambda distinct: (generator.random(distinct.shape) * distinct).astype(int)
     )
 
 
