@@ -14,7 +14,6 @@ from .ballsbins import (
     SimulationResult,
     expected_happy,
     max_paral,
-    satisfy_sla,
     sigma,
     simulate_balls_and_bins,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "make_config",
     "max_paral",
     "run_experiment",
-    "satisfy_sla",
     "sigma",
     "simulate_balls_and_bins",
     "size_hosts",

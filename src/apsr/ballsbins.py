@@ -10,13 +10,11 @@ Sampling with replacement is what makes ``sigma = 1 - ((n-k)/n)**d`` an exact
 identity rather than a bound; the simulator's sampling agents pick with the
 Monte-Carlo game's own kernel, ``pick_distinct``, which treats every value
 >= its sentinel as unavailable: the game draws bins 0..n-1 with sentinel k.
-Below n = 2**31 the game draws int32, since numpy bounds int32 and int64 draws
-below 2**32 with one 32-bit Lemire step: the same values and generator state.
-It draws a chunk of trials in blocks, sorts each block's rows while it is in
-cache and keeps them in one buffer per game, of int16 while n <= 32767, so the
-working set is that buffer plus one block's temporaries.  ``k == 0`` and
-``d == 0`` yield zero probability and zero expected winners instead of errors,
-so callers degrade gracefully at full utilization.
+The game plays blocks of about 2**18 draws start to finish, each drawn at the
+narrowest integer dtype holding n, so its working set is one block's draws and
+temporaries whatever the trial count.  ``k == 0`` and ``d == 0`` yield zero
+probability and zero expected winners instead of errors, so callers degrade
+gracefully at full utilization.
 """
 
 from __future__ import annotations
@@ -69,19 +67,12 @@ def _happy(n: int, k: int, s: int, d: int) -> float:
     return k * (1.0 - (1.0 - (1.0 - ((n - k) / n) ** d) / k) ** s)
 
 
-def satisfy_sla(n: int, delta_hat: float, k: int, s: int, d: int) -> bool:
-    """Does configuration (s, d) meet the decline target:
-    expected_happy >= s * (1 - delta_hat)?"""
-    if not 0.0 <= delta_hat <= 1.0:
-        raise ValueError(f"delta_hat must be in [0, 1], got {delta_hat}")
-    return expected_happy(BallsBinsParams(n, k, s, d)) >= s * (1.0 - delta_hat)
-
-
 def max_paral(n: int, delta_hat: float, budget: int, k: int) -> tuple[int, int]:
     """Greedy maximal agent count under the SLA and query budget.
 
     Starts at s = 1 and keeps growing s while (s+1, budget // (s+1)) still
-    satisfies the SLA; s is additionally capped at budget so that d >= 1.
+    satisfies the SLA, ``expected_happy >= (s+1) * (1 - delta_hat)``; s is
+    additionally capped at budget so that d >= 1.
     Returns (s, budget // s): s * d <= budget always holds, and the SLA
     condition holds for the returned pair whenever s > 1.
     """
@@ -92,7 +83,7 @@ def max_paral(n: int, delta_hat: float, budget: int, k: int) -> tuple[int, int]:
         raise ValueError(f"delta_hat must be in [0, 1], got {delta_hat}")
     s = 1
     while s + 1 <= budget and _happy(n, k, s + 1, budget // (s + 1)) >= (s + 1) * (1.0 - delta_hat):
-        s += 1  # satisfy_sla(n, delta_hat, k, s + 1, budget // (s + 1)), checked once above
+        s += 1
     return s, budget // s
 
 
@@ -153,21 +144,18 @@ def pick_distinct(draws: np.ndarray, sentinel: int, rank) -> np.ndarray:
     return picks.reshape(shape)
 
 
-#: Trials the Monte-Carlo game draws at once; the draws depend on it.
-CHUNK = 16384
-#: Draws the game picks at once, which bounds the temporaries; no output depends on it.
+#: Draws the game makes and picks at once; the draws depend on it, and it bounds the working set.
 _BLOCK_DRAWS = 2**18
 
 
 def simulate_balls_and_bins(params: BallsBinsParams, trials: int, seed) -> SimulationResult:
     """Play the sampling game ``trials`` times with a seeded generator.
 
-    Vectorized over ``CHUNK`` trials at a time: the chunk's bins are drawn in
-    blocks of about ``_BLOCK_DRAWS``, each sorted along its rows and stored
-    into one buffer per game, which gives the values and generator state of
-    one chunk-sized draw.  Then each block picks through ``pick_distinct``
-    with a uniform rank per agent.  A bin selected by one or more potentially
-    happy agents produces exactly one happy agent.
+    Vectorized over blocks of about ``_BLOCK_DRAWS`` draws, each played start
+    to finish: its bins are drawn at the narrowest dtype holding n and sorted
+    along their rows, then ``pick_distinct`` picks with a uniform rank per
+    agent, drawn after the block's bins.  A bin selected by one or more
+    potentially happy agents produces exactly one happy agent.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -177,26 +165,14 @@ def simulate_balls_and_bins(params: BallsBinsParams, trials: int, seed) -> Simul
         return SimulationResult(trials, 0, 0, 0, selection_counts)
 
     rng = np.random.default_rng(seed)
-    dtype = np.int32 if n < 2**31 else np.int64  # the int64 draw's values; k <= n fits too
-    # int16 holds every bin below n and the sentinel k <= n
-    rows = np.empty((min(CHUNK, trials), s, d), np.int16 if n <= 2**15 - 1 else dtype)
-    block = max(1, _BLOCK_DRAWS // (s * d))  # trials per draw and per pick_distinct call
-    ph_total = 0
-    happy_total = 0
-    happy_sq_total = 0
-    done = 0
-    while done < trials:
-        m = min(CHUNK, trials - done)
-        vals = rows[:m]
-        for lo in range(0, m, block):  # the chunk's bins in trial order, then its uniforms
-            drawn = rng.integers(0, n, size=vals[lo:lo + block].shape, dtype=dtype)
-            drawn.sort(axis=-1)
-            vals[lo:lo + block] = drawn
-        del drawn
-        selected = np.empty((m, s), rows.dtype)
-        for lo in range(0, m, block):
-            selected[lo:lo + block] = pick_distinct(
-                vals[lo:lo + block], k, lambda c: (rng.random(c.shape) * c).astype(np.int64))
+    # holds every bin below n and the sentinel k <= n
+    dtype = np.int16 if n < 2**15 else np.int32 if n < 2**31 else np.int64
+    block = max(1, _BLOCK_DRAWS // (s * d))  # trials per block
+    ph_total = happy_total = happy_sq_total = 0
+    for done in range(0, trials, block):
+        drawn = rng.integers(0, n, size=(min(block, trials - done), s, d), dtype=dtype)
+        drawn.sort(axis=-1)
+        selected = pick_distinct(drawn, k, lambda c: (rng.random(c.shape) * c).astype(np.int64))
         # a trial's winners are the distinct available bins its agents selected
         selected.sort(axis=1)
         won = selected < k
@@ -207,6 +183,5 @@ def simulate_balls_and_bins(params: BallsBinsParams, trials: int, seed) -> Simul
         happy_total += int(happy.sum())
         happy_sq_total += int((happy * happy).sum())
         selection_counts += np.bincount(selected.ravel(), minlength=k + 1)[:k]
-        done += m
 
     return SimulationResult(trials, ph_total, happy_total, happy_sq_total, selection_counts)

@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's own code paths: enumeration over raw
 sample tuples with exact rational arithmetic, binomial terms via math.comb,
-and plain double loops over hosts and flavors.
+and plain double loops over hosts and flavors.  ``meets_sla`` is the one
+exception: it states the SLA that fleet sizing promises through the library's
+closed form ``expected_happy``, which is itself checked against enumeration.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
+from apsr.ballsbins import BallsBinsParams, expected_happy
 from apsr.core import fits
 
 _CHOICE_CACHE: dict[tuple, Fraction] = {}
@@ -91,21 +94,28 @@ def scan_max_paral(n: int, delta_hat: float, budget: int, k: int) -> tuple[int, 
     return s, budget // s
 
 
-def replay_balls_and_bins(n: int, k: int, s: int, d: int, trials: int, seed, chunk: int):
+def meets_sla(n: int, delta_hat: float, k: int, s: int, d: int) -> bool:
+    """Does fleet (s, d) meet the decline target with k of n hosts available:
+    expected winners ``expected_happy >= s * (1 - delta_hat)``?"""
+    return expected_happy(BallsBinsParams(n, k, s, d)) >= s * (1.0 - delta_hat)
+
+
+def replay_balls_and_bins(n: int, k: int, s: int, d: int, trials: int, seed, block: int):
     """Plays the sampling game trial by trial in plain Python, on the draws the
-    Monte-Carlo kernel makes: per chunk of m trials, an (m, s, d) block of bin
-    draws and then an (m, s) block of uniforms, one per agent's pick.
+    Monte-Carlo kernel makes: per block of m trials, an (m, s, d) array of bin
+    draws, of int16 below n = 2**15, int32 below 2**31, else int64, and then
+    an (m, s) array of uniforms, one per agent's pick.
 
     Returns (potentially happy total, happy total, happy squared total,
     per-bin selection counts).
     """
     rng = np.random.default_rng(seed)
+    dtype = np.int16 if n < 2**15 else np.int32 if n < 2**31 else np.int64
     ph_total = happy_total = happy_sq_total = 0
     counts = [0] * k
-    done = 0
-    while done < trials:
-        m = min(chunk, trials - done)
-        draws = rng.integers(0, n, size=(m, s, d)).tolist()
+    for done in range(0, trials, block):
+        m = min(block, trials - done)
+        draws = rng.integers(0, n, size=(m, s, d), dtype=dtype).tolist()
         uniforms = rng.random((m, s)).tolist()
         for samples, picks in zip(draws, uniforms):
             won = set()
@@ -118,7 +128,6 @@ def replay_balls_and_bins(n: int, k: int, s: int, d: int, trials: int, seed, chu
                     won.add(chosen)
             happy_total += len(won)
             happy_sq_total += len(won) ** 2
-        done += m
     return ph_total, happy_total, happy_sq_total, counts
 
 

@@ -21,11 +21,10 @@ from apsr import (
     make_config,
     max_paral,
     run_experiment,
-    satisfy_sla,
     simulate_balls_and_bins,
 )
 from apsr.cli import main as cli_main
-from oracles import enumerated_expected_happy, scan_max_paral
+from oracles import enumerated_expected_happy, meets_sla, scan_max_paral
 
 MC_TRIALS = 100_000
 MC_GRID = [
@@ -123,9 +122,9 @@ def test_criterion_04_max_paral_greedy_correctness():
         s, d = max_paral(n, delta_hat, budget, k)
         assert s * d <= budget, (n, delta_hat, budget, k)
         if s > 1:
-            assert satisfy_sla(n, delta_hat, k, s, d), (n, delta_hat, budget, k)
+            assert meets_sla(n, delta_hat, k, s, d), (n, delta_hat, budget, k)
         if s + 1 <= budget:
-            assert not satisfy_sla(n, delta_hat, k, s + 1, budget // (s + 1)), (
+            assert not meets_sla(n, delta_hat, k, s + 1, budget // (s + 1)), (
                 n, delta_hat, budget, k,
             )
         assert (s, d) == scan_max_paral(n, delta_hat, budget, k), (n, delta_hat, budget, k)

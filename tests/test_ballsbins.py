@@ -16,14 +16,14 @@ from apsr import (
     ConfigError,
     expected_happy,
     max_paral,
-    satisfy_sla,
     sigma,
     simulate_balls_and_bins,
 )
-from apsr.ballsbins import CHUNK, pick_distinct
+from apsr.ballsbins import pick_distinct
 from oracles import (
     direct_expected_happy,
     enumerated_expected_happy,
+    meets_sla,
     replay_balls_and_bins,
     scan_max_paral,
 )
@@ -96,14 +96,6 @@ class TestExpectedHappy:
                         assert expected_happy(BallsBinsParams(n, k, s, d + 1)) >= value - 1e-12
 
 
-class TestSatisfySla:
-    def test_lone_agent_everything_available(self):
-        assert satisfy_sla(50, 0.0, 50, 1, 1)
-
-    def test_nothing_available_fails_tight_target(self):
-        assert not satisfy_sla(50, 0.05, 0, 1, 10)
-
-
 class TestMaxParal:
     def test_no_available_bins_collapses_to_one_scheduler(self):
         assert max_paral(100, 0.05, 100, 0) == (1, 100)
@@ -145,7 +137,7 @@ class TestMaxParal:
             delta_hat = float(rng.uniform(0.0, 0.2))
             s, _ = max_paral(n, delta_hat, budget, k)
             for larger in range(s + 2, budget + 1):
-                assert not satisfy_sla(n, delta_hat, k, larger, budget // larger), (
+                assert not meets_sla(n, delta_hat, k, larger, budget // larger), (
                     n, delta_hat, budget, k, larger)
 
     def test_random_instances_properties_and_oracle(self):
@@ -159,9 +151,9 @@ class TestMaxParal:
             assert s * d <= budget
             assert d == budget // s
             if s > 1:
-                assert satisfy_sla(n, delta_hat, k, s, d)
+                assert meets_sla(n, delta_hat, k, s, d)
             if s + 1 <= budget:
-                assert not satisfy_sla(n, delta_hat, k, s + 1, budget // (s + 1))
+                assert not meets_sla(n, delta_hat, k, s + 1, budget // (s + 1))
             assert (s, d) == scan_max_paral(n, delta_hat, budget, k)
 
 
@@ -192,52 +184,40 @@ class TestSimulation:
 
     @pytest.mark.parametrize("n, k, s, d", [
         (12, 5, 4, 3), (6, 6, 3, 2), (20, 1, 5, 4), (9, 4, 1, 1),
-        # either side of the int16 cut: a wrong cut wraps bins below 0
+        # either side of the int16 draw cut: a wrong cut wraps bins below 0
         *((n, k, 2, 3) for n in (2**15 - 1, 2**15, 2**15 + 1) for k in (n, n - 1)),
     ])
     def test_totals_match_plain_replay_of_the_draws(self, n, k, s, d, monkeypatch):
-        """At every block size: the default, one trial, seven and more than a
-        chunk.  The replay draws each chunk's bins in one call."""
-        trials = CHUNK + 700  # a full chunk, then a short last one
-        replayed = replay_balls_and_bins(n, k, s, d, trials, (n, k), CHUNK)
-        for block in (None, 1, 7, CHUNK + 1):  # None: the default
+        """At every block size: the default, one trial, seven and a thousand.
+        The replay draws each block's bins in one call, then its uniforms."""
+        trials = 2 * 1000 + 700  # two full blocks of a thousand, then a short one
+        for block in (None, 1, 7, 1000):  # None: the default
             if block is not None:
                 monkeypatch.setattr(apsr.ballsbins, "_BLOCK_DRAWS", block * s * d)
+            replayed = replay_balls_and_bins(
+                n, k, s, d, trials, (n, k), max(1, apsr.ballsbins._BLOCK_DRAWS // (s * d)))
             result = simulate_balls_and_bins(BallsBinsParams(n, k, s, d), trials, (n, k))
             assert result.trials == trials
             assert (result.potentially_happy_total, result.happy_total, result.happy_sq_total,
                     result.selection_counts.tolist()) == replayed, block
 
-    def test_one_chunk_of_draws_bounds_the_working_set(self):
-        """The game's traced peak stays within one chunk's int32 draws: the
-        chunk is kept as int16 rows, and each block's temporaries are a small
-        part of it."""
+    def test_one_block_bounds_the_working_set(self):
+        """The game's traced peak is one block's draws and temporaries, within
+        four times a block's int32 draws whatever the trial count."""
         params = BallsBinsParams(837, 350, 28, 8)  # fleet-analysis' k = 350 game
         simulate_balls_and_bins(params, 10, 0)  # lazy set-up out of the trace
         tracemalloc.start()
         try:
-            simulate_balls_and_bins(params, CHUNK, 0)
+            simulate_balls_and_bins(params, 100_000, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.0 * CHUNK * params.s * params.d * np.dtype(np.int32).itemsize
-
-    @pytest.mark.parametrize("n", [1, 2, 837, 5989, 2**31])
-    def test_int32_draws_are_the_int64_draws(self, n):
-        """The game draws int32 below n = 2**31 on the premise that numpy
-        bounds both widths with one 32-bit step: same values, same generator
-        state after an odd count of draws, same next uniform."""
-        wide, narrow = np.random.default_rng(n), np.random.default_rng(n)
-        drawn = narrow.integers(0, n, size=(5, 3, 7), dtype=np.int32)
-        assert drawn.dtype == np.int32
-        assert drawn.tolist() == wide.integers(0, n, size=(5, 3, 7)).tolist()
-        assert narrow.bit_generator.state == wide.bit_generator.state
-        assert narrow.random() == wide.random()
+        assert peak <= 4 * apsr.ballsbins._BLOCK_DRAWS * np.dtype(np.int32).itemsize
 
 
 class TestPickDistinct:
     @given(
-        draws=arrays(st.sampled_from([np.int32, np.int64]),
+        draws=arrays(st.sampled_from([np.int16, np.int32, np.int64]),
                      array_shapes(min_dims=2, max_dims=4, min_side=0, max_side=5),
                      elements=st.integers(0, 9)),
         sentinel=st.integers(0, 7),

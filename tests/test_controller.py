@@ -12,9 +12,8 @@ from apsr import (
     Flavor,
     ModelError,
     max_paral,
-    satisfy_sla,
 )
-from oracles import scan_max_paral
+from oracles import meets_sla, scan_max_paral
 
 FLAVORS = [Flavor("a", (3, 3))]
 
@@ -160,7 +159,7 @@ class TestControllerTick:
             assert 0.0 <= controller.k_estimate <= n
             if s > 1:
                 k_used = int(math.floor(controller.k_estimate))
-                assert satisfy_sla(n, 0.05, k_used, s, d)
+                assert meets_sla(n, 0.05, k_used, s, d)
 
     def test_initial_configuration_is_single_scheduler_full_budget(self):
         controller = ApsrController(300, 0.05, 300)

@@ -26,10 +26,11 @@ keeps the command's stdout next to the files it writes:
   their `--output` CSV;
 - `game`: `simulate_balls_and_bins`' totals and `selection_counts` at the
   `fleet-analysis` benchmark points (n = 837, B = 250, k = 80, 200 and 350,
-  100k trials, seeds 0-2), at the edges k = 0, k = n, d = 1 and `CHUNK + 1`
-  trials, with wide rows (s = 1, d = 837), either side of the int16 rows'
-  cut (n = 32,767, 32,768 and 32,769, each with k = n and k = n - 1), and
-  with int64 draws (n = 2^31 + 1).
+  100k trials, seeds 0-2), at the edges k = 0, k = n, d = 1 and one trial
+  past a block of about 2^18 draws, with wide rows (s = 1, d = 837), either
+  side of the int16 draw cut (n = 32,767, 32,768 and 32,769, each with k = n
+  and k = n - 1, one trial past a block), and with int64 draws
+  (n = 2^31 + 1).
 
 Prints "identical" when every output (each `manifest.json`, `run_<seed>.csv`,
 sizing CSV and stdout) matches byte for byte and exits 0; otherwise prints
@@ -84,7 +85,10 @@ COMMANDS = {
 }
 # The Monte-Carlo game, which no CLI command plays.
 GAME = """
-from apsr.ballsbins import CHUNK, BallsBinsParams, max_paral, simulate_balls_and_bins
+from apsr.ballsbins import BallsBinsParams, max_paral, simulate_balls_and_bins
+
+def past_block(s, d):  # trials that end one trial past a block of about 2**18 draws
+    return 2**18 // (s * d) + 1
 
 def play(n, k, s, d, trials, seed):
     r = simulate_balls_and_bins(BallsBinsParams(n, k, s, d), trials, seed)
@@ -98,11 +102,11 @@ for k in (80, 200, 350):
 play(837, 0, 5, 50, 1000, 0)
 play(837, 837, 12, 20, 1000, 0)
 play(837, 200, 30, 1, 1000, 0)
-play(837, 200, 9, 27, CHUNK + 1, 0)
+play(837, 200, 9, 27, past_block(9, 27), 0)
 play(837, 200, 1, 837, 3000, 0)
-for n in (2**15 - 1, 2**15, 2**15 + 1):  # either side of the int16 rows' cut
+for n in (2**15 - 1, 2**15, 2**15 + 1):  # either side of the int16 draw cut
     for k in (n, n - 1):
-        play(n, k, 2, 3, CHUNK + 1, 0)
+        play(n, k, 2, 3, past_block(2, 3), 0)
 play(2**31 + 1, 1000, 4, 50, 1000, 0)
 """
 
