@@ -96,6 +96,17 @@ class TestExpectedHappy:
                         assert expected_happy(BallsBinsParams(n, k, s, d + 1)) >= value - 1e-12
 
 
+class TestMeetsSla:
+    """The SLA fleet sizing promises, ``expected_happy >= s * (1 - delta_hat)``,
+    read exactly at its edges."""
+
+    def test_lone_agent_everything_available(self):
+        assert meets_sla(50, 0.0, 50, 1, 1)
+
+    def test_nothing_available_fails_tight_target(self):
+        assert not meets_sla(50, 0.05, 0, 1, 10)
+
+
 class TestMaxParal:
     def test_no_available_bins_collapses_to_one_scheduler(self):
         assert max_paral(100, 0.05, 100, 0) == (1, 100)
@@ -200,6 +211,33 @@ class TestSimulation:
             assert result.trials == trials
             assert (result.potentially_happy_total, result.happy_total, result.happy_sq_total,
                     result.selection_counts.tolist()) == replayed, block
+
+    @pytest.mark.parametrize("n, dtype", [
+        (1, np.int16), (2**15 - 1, np.int16), (2**15, np.int32),
+        (2**31 - 1, np.int32), (2**31, np.int64),
+    ])
+    def test_draws_bins_at_the_narrowest_dtype_holding_n(self, n, dtype, monkeypatch):
+        """Bins 0..n-1 and the sentinel k <= n fit the draws' dtype; the int32
+        cut is not seen by the replay, whose int32 and int64 draws agree."""
+        drawn = []
+        default_rng = np.random.default_rng
+
+        class Spy:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def integers(self, *args, **kwargs):
+                drawn.append(self.rng.integers(*args, **kwargs))
+                return drawn[-1]
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        monkeypatch.setattr(np.random, "default_rng", Spy)
+        result = simulate_balls_and_bins(BallsBinsParams(n, 1, 2, 3), 5, n)
+        assert result.trials == 5 and result.happy_total <= result.potentially_happy_total
+        assert [a.dtype for a in drawn] == [np.dtype(dtype)]
+        assert 0 <= drawn[0].min() and drawn[0].max() < n
 
     def test_one_block_bounds_the_working_set(self):
         """The game's traced peak is one block's draws and temporaries, within
