@@ -113,18 +113,18 @@ class SimulationResult:
         return float(np.sqrt(max(var, 0.0) / self.trials))
 
 
-def pick_distinct(draws: np.ndarray, sentinel: int, rank) -> np.ndarray:
-    """Each row's pick among the distinct available values it drew.
+def pick_distinct(draws: np.ndarray, sentinel: int, rng: np.random.Generator) -> np.ndarray:
+    """Each row's uniform pick among the distinct available values it drew.
 
     ``draws`` is an (..., d) integer array, sorted along its last axis, whose
     unavailable entries are any value >= ``sentinel``, a value above every
-    available one; it is not changed.  ``rank(distinct)`` gets the (...) array
-    of each row's distinct available count and returns each row's rank in
-    [0, distinct) (read only where distinct > 0).  Returns the (...) array of
-    picks, of ``draws``' dtype: the available value of that rank in ascending
-    order, or ``sentinel`` where a row drew nothing available.  Uniform ranks
-    give the sampling agent's rule, a uniform pick among the distinct available
-    bins (hosts) it saw; the game and the engine both pick through here.
+    available one; it is not changed.  One ``rng.random(...)`` call draws a
+    double u per row, in row order, also for rows that drew nothing available,
+    and a row with c distinct available values takes the one of rank
+    ``floor(u * c)`` in ascending order.  Returns the (...) array of picks, of
+    ``draws``' dtype, with ``sentinel`` where a row drew nothing available.
+    This is the sampling agent's rule, a uniform pick among the distinct
+    available bins (hosts) it saw; the game and the engine both pick here.
     """
     shape, d = draws.shape[:-1], draws.shape[-1]
     flat = draws.reshape(-1)
@@ -137,7 +137,7 @@ def pick_distinct(draws: np.ndarray, sentinel: int, rank) -> np.ndarray:
     values = flat.take(hits)
     hits //= max(d, 1)  # each hit's row; d = 0 hits nothing
     counts = np.bincount(hits, minlength=math.prod(shape))
-    position = counts.cumsum() - counts + np.asarray(rank(counts.reshape(shape)), np.int64).ravel()
+    position = counts.cumsum() - counts + (rng.random(shape).ravel() * counts).astype(np.int64)
     # a row with nothing available reads a clipped position, then takes the sentinel
     picks = values.take(position, mode="clip") if values.size else counts.astype(draws.dtype)
     picks[counts == 0] = sentinel
@@ -172,7 +172,7 @@ def simulate_balls_and_bins(params: BallsBinsParams, trials: int, seed) -> Simul
     for done in range(0, trials, block):
         drawn = rng.integers(0, n, size=(min(block, trials - done), s, d), dtype=dtype)
         drawn.sort(axis=-1)
-        selected = pick_distinct(drawn, k, lambda c: (rng.random(c.shape) * c).astype(np.int64))
+        selected = pick_distinct(drawn, k, rng)
         # a trial's winners are the distinct available bins its agents selected
         selected.sort(axis=1)
         won = selected < k

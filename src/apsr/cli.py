@@ -201,10 +201,6 @@ def _aggregate(runs: list[dict]) -> dict:
 
 
 def cmd_size_hosts(args) -> int:
-    if args.runs < 1:
-        raise ConfigError(f"runs must be >= 1, got {args.runs}")
-    if args.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     spec = load_dataset(args.dataset)
     policies = tuple(p.strip() for p in args.policies.split(",") if p.strip())
     result = size_hosts(spec, args.replicas, policies, args.runs, args.seed)

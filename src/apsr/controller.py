@@ -5,9 +5,10 @@ sampling decisions into a window of per-flavor counts (hosts queried / found
 available).  On a tick the availability estimate k is refreshed, either from
 the window ("min" or "avg" estimator, exponentially smoothed) or from an exact
 census of the cluster ("oracle", which queries every host and records no
-window; k is the least count among the flavors that still fit some host), and
-the scheduler fleet is reconfigured to the largest (s, d) that satisfies the
-decline-ratio target within the query budget.
+window; the controller takes k as the least of the census's per-flavor counts,
+skipping flavors that fit no host), and the scheduler fleet is reconfigured to
+the largest (s, d) that satisfies the decline-ratio target within the query
+budget.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from typing import Iterable
 
 from .ballsbins import max_paral
-from .core import ClusterState, ConfigError, Flavor
+from .core import ClusterState, ConfigError, Flavor, ModelError
 
 ESTIMATOR_MODES = ("min", "avg", "oracle")
 
@@ -82,13 +83,17 @@ class ApsrController:
     def tick(self, state: ClusterState, flavors: Iterable[Flavor]) -> int:
         """Refresh k, reconfigure the fleet and reset the window; returns the
         hosts queried.  The oracle takes k from a census of ``state`` over
-        ``flavors`` (the least count among flavors that fit some host) and
-        queries its n hosts.  The min (avg) estimate smooths n times the least
-        (mean) per-flavor found/queried ratio of the window and queries none;
-        an empty window leaves k unchanged."""
+        ``flavors``, the least count among flavors that fit some host (0 when
+        none does), and queries its n hosts.  The min (avg) estimate smooths n
+        times the least (mean) per-flavor found/queried ratio of the window and
+        queries none; an empty window leaves k unchanged."""
         queries = 0
         if self.estimator == "oracle":
-            self.k_estimate = float(state.census(flavors).min_available)
+            counts = state.census(flavors).per_flavor.values()
+            if not counts:
+                raise ModelError("census over an empty flavor set has no minimum")
+            # a flavor that fits no host is declined whatever the fleet, so it does not pin k to 0
+            self.k_estimate = float(min((c for c in counts if c), default=0))
             queries = state.n
         elif self.queried:
             ratios = [self.found[fid] / q for fid, q in self.queried.items()]

@@ -89,18 +89,9 @@ class Placement:
 
 @dataclass
 class AvailabilityCensus:
-    """Exact per-flavor count of hosts that could accept one more request.
-    ``min_available`` skips flavors at 0: whatever the fleet, they are declined."""
+    """Exact per-flavor count of hosts that could accept one more request."""
 
     per_flavor: dict[str, int]
-
-    @property
-    def min_available(self) -> int:
-        """Pessimistic cluster-wide availability: the least count among the
-        flavors that fit at least one host, or 0 when none does."""
-        if not self.per_flavor:
-            raise ModelError("census over an empty flavor set has no minimum")
-        return min((count for count in self.per_flavor.values() if count), default=0)
 
 
 class ClusterState:

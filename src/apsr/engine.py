@@ -12,7 +12,9 @@ the sampling agents draw from the slot's generator
 ``default_rng((seed, 3, slot))`` in scheduler order; the deterministic kinds
 (ff, wf, adaptive, distfromdiag) have one candidate and draw nothing.
 Sampling agent i takes row i of one (agents, d) draw of hosts, tests fits
-only at those hosts, and all agents then draw their ranks in one call.
+only at those hosts; then each agent takes a double u of one ``random`` call
+and its distinct fitting host of rank floor(u * count), as the Monte-Carlo
+game's agents do.
 Assignments resolve against the live state in a random order drawn
 from the run's generator ``default_rng((seed, 4))``; one fails if its host can
 no longer take its request.  Declined requests are not re-queued: each request
@@ -278,9 +280,7 @@ class Simulation:
         demands = np.array([r.flavor.demand for r in requests]).T[:, :, None]  # fit only at rows
         fits = (view.available.T.take(rows, axis=1) >= demands).all(axis=0)
         self.controller.record([r.flavor.id for r in requests], fits.sum(axis=1).tolist())
-        # a count of 0 bounds its rank by 1, which draws nothing
-        picks = pick_distinct(np.sort(np.where(fits, rows, n)), n,
-                              lambda distinct: rng.integers(0, np.maximum(distinct, 1)))
+        picks = pick_distinct(np.sort(np.where(fits, rows, n)), n, rng)
         return [None if p == n else p for p in picks.tolist()]  # host ids are below n
 
     def run_slot(self) -> None:

@@ -286,6 +286,7 @@ def size_hosts(
     """
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
+    seed = _as_seed(seed)
     if not policy_set:
         raise ConfigError("size_hosts needs at least one policy")
     for flavor in spec.flavors:
@@ -294,10 +295,10 @@ def size_hosts(
     result = SizingResult(hosts=0)
     best: int | None = None
     for run in range(runs):
-        trace = build_trace(spec, replicas, (_as_seed(seed), 1, run))
+        trace = build_trace(spec, replicas, (seed, 1, run))
         for policy_name in policy_set:
             policy = PolicyConfig(policy_name)
-            rng = np.random.default_rng((_as_seed(seed), 2, run, _policy_tag(policy_name)))
+            rng = np.random.default_rng((seed, 2, run, _policy_tag(policy_name)))
             opened = _size_one_run(spec, trace, policy, rng)
             result.runs.append(SizingRun(run, policy_name, opened))
             if best is None or opened < best:
@@ -309,6 +310,8 @@ def size_hosts(
 def _as_seed(seed) -> int:
     if isinstance(seed, (tuple, list)):
         raise ConfigError("size_hosts expects a plain integer seed")
+    if int(seed) < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return int(seed)
 
 

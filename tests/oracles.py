@@ -136,17 +136,18 @@ def replay_sampling_decisions(seed: int, slot: int, requests, available, d: int)
 
     The slot draws from ``default_rng((seed, 3, slot))``, 3 being the engine's
     scheduler sub-stream tag.  Agent i takes ``requests[i]``.  Every agent in
-    order draws ``integers(0, n, d)`` hosts.  Then every agent, in order, draws
-    ``integers(max(count, 1))``, count being the number of its sorted distinct
-    sampled hosts whose ``available`` row passes ``core.fits``.  An agent takes
-    its host of that rank, or declines (None) when none fits.
+    order draws ``integers(0, n, d)`` hosts.  Then every agent, in order, also
+    one that found no host, draws a double u with ``random()``, and ranks its
+    sorted distinct sampled hosts whose ``available`` row passes ``core.fits``
+    by ``int(u * count)``.  An agent takes its host of that rank, or declines
+    (None) when none fits.
     """
     n = len(available)
     rng = np.random.default_rng((seed, 3, slot))
     samples = [rng.integers(0, n, size=d).tolist() for _ in requests]
     seen = [sorted({h for h in sample if fits(request.flavor.demand, available[h])})
             for request, sample in zip(requests, samples)]
-    ranks = [int(rng.integers(max(len(hosts), 1))) for hosts in seen]
+    ranks = [int(rng.random() * len(hosts)) for hosts in seen]
     return [hosts[rank] if hosts else None for hosts, rank in zip(seen, ranks)]
 
 

@@ -266,30 +266,25 @@ class TestPickDistinct:
     @example(draws=np.full((2, 3), 5, np.int64), sentinel=2, seed=0)  # all above the sentinel
     def test_matches_plain_loop(self, draws, sentinel, seed):
         """Values at or above the sentinel are unavailable; each row picks the
-        distinct available value of its rank, or the sentinel if it has none.
-        The rows arrive sorted and are left as they are."""
+        distinct available value of rank ``int(u * count)``, u being the row's
+        double of one ``random(rows)`` draw, or the sentinel if it has none.
+        The rows arrive sorted and are left as they are, and the generator ends
+        where the plain replay's does."""
         draws.sort(axis=-1)
         before = draws.copy()
         shape, d = draws.shape[:-1], draws.shape[-1]
         rows = draws.reshape(math.prod(shape), d).tolist()
-        calls = []
+        rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+        uniforms = replay.random(len(rows)).tolist()
 
-        def rank(distinct):
-            ranks = (np.random.default_rng(seed).random(distinct.shape) * distinct).astype(np.int64)
-            calls.append((distinct.copy(), ranks))
-            return ranks
-
-        picks = pick_distinct(draws, sentinel, rank)
+        picks = pick_distinct(draws, sentinel, rng)
         assert np.array_equal(draws, before)
-        assert len(calls) == 1
-        distinct, ranks = calls[0]
-        assert picks.shape == distinct.shape == shape
+        assert picks.shape == shape
         assert picks.dtype == draws.dtype
-        for row, count, r, pick in zip(rows, distinct.ravel().tolist(), ranks.ravel().tolist(),
-                                       picks.ravel().tolist()):
+        assert rng.bit_generator.state == replay.bit_generator.state
+        for row, u, pick in zip(rows, uniforms, picks.ravel().tolist()):
             seen = sorted({v for v in row if v < sentinel})
-            assert count == len(seen)
-            assert pick == (seen[r] if seen else sentinel)
+            assert pick == (seen[int(u * len(seen))] if seen else sentinel)
 
 
 class TestParamTypes:

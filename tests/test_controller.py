@@ -1,12 +1,14 @@
 """Controller behavior: availability estimation, fleet sizing, invariants."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from apsr import (
     ApsrController,
+    AvailabilityCensus,
     ClusterState,
     ConfigError,
     Flavor,
@@ -24,6 +26,11 @@ def cluster_with_free(n: int, k: int) -> ClusterState:
 
 
 IDLE = cluster_with_free(100, 100)
+
+
+def census_of(per_flavor: dict[str, int]) -> SimpleNamespace:
+    """A stand-in cluster of 10 hosts whose census reports ``per_flavor``."""
+    return SimpleNamespace(n=10, census=lambda flavors: AvailabilityCensus(per_flavor))
 
 
 def window_controller(estimator: str, prev_k: float) -> ApsrController:
@@ -100,7 +107,31 @@ class TestOracle:
         assert (controller.queried, controller.found) == ({}, {})
         state = cluster_with_free(60, 23)
         assert controller.tick(state, FLAVORS) == 60
-        assert controller.k_estimate == 23.0 == state.census(FLAVORS).min_available
+        assert controller.k_estimate == 23.0
+        assert state.census(FLAVORS).per_flavor == {"a": 23}
+
+    def test_k_skips_flavors_that_fit_no_host(self):
+        """A flavor no host fits is declined whatever the fleet, so it does not
+        pin the oracle's k to 0; k is 0 only when no flavor fits any host."""
+        state = ClusterState([(1000, 1000)] * 3 + [(300, 300)])
+        flavors = [Flavor("1200x100", (1200, 100)), Flavor("500x500", (500, 500))]
+        assert state.census(flavors).per_flavor == {"1200x100": 0, "500x500": 3}
+        controller = ApsrController(4, 0.05, 4, estimator="oracle")
+        controller.tick(state, flavors)
+        assert controller.k_estimate == 3.0
+        for counts, k in (({"a": 7, "b": 0, "c": 2}, 2.0), ({"a": 0, "b": 0}, 0.0)):
+            controller.tick(census_of(counts), flavors)
+            assert controller.k_estimate == k
+
+    def test_k_requires_flavors(self):
+        """A census over no flavors has no least count: the tick raises and
+        leaves the estimate and the fleet as they were."""
+        controller = ApsrController(10, 0.05, 10, estimator="oracle")
+        controller.tick(cluster_with_free(10, 4), FLAVORS)
+        before = (controller.k_estimate, controller.s, controller.d)
+        with pytest.raises(ModelError):
+            controller.tick(census_of({}), [])
+        assert (controller.k_estimate, controller.s, controller.d) == before
 
     def test_empty_cloud_maximizes_fleet(self):
         n = 120

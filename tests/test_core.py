@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apsr import (AvailabilityCensus, ClusterState, ConfigError, Flavor, HostView, ModelError,
-                  Request, vector)
+from apsr import ClusterState, ConfigError, Flavor, HostView, ModelError, Request, vector
 from apsr.core import MAX_UNITS, fits
 from oracles import ReplayBook, census_brute
 
@@ -57,18 +56,18 @@ class TestIsAvailable:
         return state
 
     def test_empty_unit_host_takes_small_demand(self):
-        assert self.one_host().census([flavor(32, 40)]).min_available == 1
+        assert self.one_host().census([flavor(32, 40)]).per_flavor == {"32x40": 1}
 
     def test_full_host_takes_nothing(self):
         state = self.one_host((1000, 1000))
-        assert state.census([flavor(1, 0)]).min_available == 0
+        assert state.census([flavor(1, 0)]).per_flavor == {"1x0": 0}
         assert not state.place(request(9, 1, 0), 0)
 
     def test_exact_fit_boundary_is_available(self):
         state = self.one_host((500, 500))
         assert fits((500, 500), state.available[0])
         assert not fits((501, 500), state.available[0])
-        assert state.census([flavor(500, 500)]).min_available == 1
+        assert state.census([flavor(500, 500)]).per_flavor == {"500x500": 1}
         assert state.place(request(9, 500, 500), 0)
         assert state.available.tolist() == [[0, 0]]
 
@@ -272,14 +271,13 @@ class TestCensus:
         flavors = [flavor(32, 40), flavor(190, 540)]
         census = state.census(flavors)
         assert census.per_flavor == {f.id: 8 for f in flavors}
-        assert census.min_available == 8
 
     def test_full_cluster_counts_zero(self):
         state = ClusterState([UNIT] * 4)
         for host in range(4):
             assert state.place(request(host, 1000, 1000), host)
-        assert state.census([flavor(1, 10)]).min_available == 0
-        assert state.census([flavor(1, 10), flavor(10, 1)]).min_available == 0
+        assert state.census([flavor(1, 10)]).per_flavor == {"1x10": 0}
+        assert state.census([flavor(1, 10), flavor(10, 1)]).per_flavor == {"1x10": 0, "10x1": 0}
 
     def test_mixed_state_matches_brute_force(self):
         rng = np.random.default_rng(11)
@@ -354,19 +352,6 @@ class TestCensus:
         restored = state.census(flavors).per_flavor
         assert all(restored[f] >= after[f] for f in restored)
         assert restored == before
-
-    def test_min_available_skips_flavors_that_fit_no_host(self):
-        """A flavor no host fits is declined whatever the fleet, so it does not
-        pin the cluster-wide availability to 0."""
-        state = ClusterState([UNIT] * 3 + [(300, 300)])
-        census = state.census([flavor(1200, 100), flavor(500, 500)])
-        assert census.per_flavor == {"1200x100": 0, "500x500": 3}
-        assert census.min_available == 3
-        assert AvailabilityCensus({"a": 7, "b": 0, "c": 2}).min_available == 2
-
-    def test_min_available_requires_flavors(self):
-        with pytest.raises(ModelError):
-            AvailabilityCensus({}).min_available
 
 
 @st.composite

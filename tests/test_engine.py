@@ -283,7 +283,7 @@ class TestSnapshotCausality:
 class TestSamplingDecisions:
     def test_decide_matches_plain_replay_of_the_slot_generator(self):
         """Every apsr decision equals a plain replay of the slot's generator: each
-        agent's d-sample in turn, then each agent's integers(distinct) in turn."""
+        agent's d-sample in turn, then each agent's random() rank in turn."""
         sim = Simulation(small_nfv(hosts=20, seed=5))  # too few hosts: declines too
         seen = []
 

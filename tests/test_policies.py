@@ -339,15 +339,6 @@ class TestRandomizedPolicies:
         assert statistic < chi2.ppf(0.999, df=6)
 
 
-def pick(draws, sentinel, generator):
-    """Kernel picks on ``draws`` sorted along its rows, with uniform ranks
-    drawn from ``generator``."""
-    return pick_distinct(
-        np.sort(draws), sentinel,
-        lambda distinct: (generator.random(distinct.shape) * distinct).astype(int)
-    )
-
-
 def sampling_sim(d):
     """A controller-managed run on 40 nfv hosts whose agents sample d hosts."""
     sim = Simulation(make_config(dataset="nfv", replicas=1, hosts=40, seed=3))
@@ -362,7 +353,7 @@ class TestSamplingAgent:
 
     def test_declines_on_all_full_sample(self):
         # hosts 3, 5, 3 sampled, all full
-        assert pick_distinct(np.array([[6, 6, 6]]), 6, np.zeros_like).tolist() == [6]
+        assert pick_distinct(np.array([[6, 6, 6]]), 6, rng()).tolist() == [6]
         sim = sampling_sim(d=5)
         full = HostView(np.zeros_like(sim.state.capacity), sim.state.capacity)
         assert sim.decide(full, 0, sim.trace[:6]) == [None] * 6
@@ -370,19 +361,16 @@ class TestSamplingAgent:
         assert set(sim.controller.found.values()) == {0}
 
     def test_duplicates_collapse_to_distinct(self):
-        counts = []
-
-        def rank(distinct):
-            counts.append(distinct.tolist())
-            return np.zeros_like(distinct)
-
-        assert pick_distinct(np.full((50, 4), 2), 6, rank).tolist() == [2] * 50
-        assert counts == [[1] * 50]
+        assert pick_distinct(np.full((50, 4), 2), 6, rng()).tolist() == [2] * 50
+        # host 4 sampled three times and host 1 once: each is picked about half the time
+        picks = pick_distinct(np.tile([1, 4, 4, 4], (2000, 1)), 6, rng())
+        assert set(picks.tolist()) == {1, 4}
+        assert abs((picks == 1).mean() - 0.5) < 0.05
 
     def test_picks_only_fitting_sampled_hosts(self):
         # sample 1, 4, 2, 4, 0, 2 of six hosts with 1 and 4 full
         draws = np.tile([6, 6, 2, 6, 0, 2], (200, 1))
-        assert set(pick(draws, 6, np.random.default_rng(5)).tolist()) == {0, 2}
+        assert set(pick_distinct(np.sort(draws), 6, np.random.default_rng(5)).tolist()) == {0, 2}
         sim = sampling_sim(d=8)
         available = sim.state.capacity.copy()
         available[::2] = 0  # even hosts full

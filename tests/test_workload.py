@@ -298,6 +298,10 @@ class TestSizeHosts:
         with pytest.raises(ConfigError):
             size_hosts(load_dataset("nfv"), 1, ("ff",), runs=0, seed=0)
 
+    def test_negative_seed_is_config_error(self):
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            size_hosts(load_dataset("nfv"), 1, ("ff",), runs=1, seed=-1)
+
     def test_empty_policy_set_is_config_error(self):
         with pytest.raises(ConfigError, match="at least one policy"):
             size_hosts(load_dataset("nfv"), 1, (), runs=1, seed=0)
